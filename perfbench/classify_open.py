@@ -3,14 +3,17 @@
 One generator thread submits Poisson arrivals to a ``MicroBatchServer`` over
 the 4-shard demo engine; queries are drawn Zipf from a fixed pool, so the
 packed-signature cache serves most of them.  A reference rate gives the
-latency metrics.  An ascending ladder of fixed rates then gives
-``goodput_rps``: the highest rate whose p99 (timed from each request's due
-time) meets the limit with no growing backlog.
+latency and CPU metrics.  A closed loop that keeps a fixed number of
+requests in flight then gives ``ops_per_s``: the server's capacity, which
+the offered rate of an open loop would pin.  An ascending ladder of fixed
+rates last gives ``goodput_rps``: the highest rate whose p99 (timed from
+each request's due time) meets the limit with no growing backlog.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import time
 import zlib
 from collections import deque
@@ -27,6 +30,8 @@ from probes import BatchObserver, TimedEngine, kernel_wraps, serve_metrics
 
 #: A request not answered within this long counts as failed.
 RESULT_TIMEOUT_S = 30.0
+#: Requests drawn per second of the capacity loop, more than a host completes.
+CAPACITY_DRAW_RPS = 40000
 
 
 class Traffic:
@@ -100,13 +105,17 @@ class Workload(BaseWorkload):
             return submit_topk(sample, self.cfg["k"])
         return submit(sample)
 
-    def _drive(self, traffic: Traffic, submit: Callable,
-               submit_topk: Callable) -> Dict[str, Any]:
-        """Send ``traffic`` on schedule; time each request from its due time.
+    def _drive(self, traffic: Traffic, submit: Callable, submit_topk: Callable,
+               in_flight: Optional[int] = None,
+               seconds: float = math.inf) -> Dict[str, Any]:
+        """Send ``traffic`` and time each request.
 
-        Completion times are stamped by a done-callback; the generator
-        checksums finished answers while it waits for the next due time,
-        so no answer is held in memory after it has been checked.
+        Open loop (the default): on schedule, timed from each due time.
+        Closed loop: with ``in_flight`` requests outstanding until
+        ``seconds`` have passed, timed from each send.  Completion times are
+        stamped by a done-callback; the generator checksums finished
+        answers while it waits, so no answer is held in memory after it has
+        been checked.
         """
         count = len(traffic.offsets)
         sent = np.zeros(count)
@@ -118,8 +127,9 @@ class Workload(BaseWorkload):
         def mark(i: int, _future: Any) -> None:
             done[i] = time.perf_counter()
 
-        def reap(wait: bool) -> None:
-            while pending and (wait or pending[0][1].done()):
+        def reap(limit: float) -> None:
+            """Check finished answers; wait while more than ``limit`` are pending."""
+            while pending and (len(pending) > limit or pending[0][1].done()):
                 i, future = pending.popleft()
                 try:
                     crc[i] = zlib.crc32(future.result(timeout=RESULT_TIMEOUT_S))
@@ -129,10 +139,16 @@ class Workload(BaseWorkload):
         start = time.perf_counter() + 1e-3
         due = start + traffic.offsets
         for i in range(count):
-            reap(wait=False)
-            delay = due[i] - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
+            if in_flight is None:
+                reap(math.inf)
+                delay = due[i] - time.perf_counter()
+                if delay > 0:
+                    time.sleep(delay)
+            else:
+                reap(in_flight - 1)
+                if time.perf_counter() - start >= seconds:
+                    count = i
+                    break
             sent[i] = time.perf_counter()
             try:
                 future = self._submit(submit, submit_topk, traffic, i)
@@ -143,23 +159,33 @@ class Workload(BaseWorkload):
             future.add_done_callback(functools.partial(mark, i))
             pending.append((i, future))
         generated = time.perf_counter()
-        reap(wait=True)
+        reap(0)
+        sent, done = sent[:count], done[:count]
+        crc, failed = crc[:count], failed[:count]
+        due = due[:count] if in_flight is None else sent
         done[failed & (done == 0)] = np.inf
         latency_ms = np.where(failed, np.inf, done - due) * 1e3
         return {"latency_ms": latency_ms, "lag_ms": (sent - due) * 1e3,
-                "done": done, "log": {"index": traffic.index,
-                                      "topk": traffic.topk, "crc": crc,
+                "done": done, "log": {"index": traffic.index[:count],
+                                      "topk": traffic.topk[:count], "crc": crc,
                                       "failed": failed},
                 "backlog": int(np.count_nonzero(
                     (sent <= generated) & (done > generated))),
                 "failed": int(np.count_nonzero(failed)), "count": count}
 
     def _phase(self, rate: float, seconds: float, submit: Callable,
-               submit_topk: Callable, log: bool = True) -> Phase:
+               submit_topk: Callable, log: bool = True,
+               in_flight: Optional[int] = None) -> Phase:
+        """An open loop at ``rate``, or a closed loop of ``in_flight`` requests.
+
+        A closed loop draws enough requests for ``rate`` per second and
+        stops sending after ``seconds``.
+        """
         traffic = self._traffic(self._traffic_rng, rate,
                                 max(1, int(rate * seconds)))
         with CpuSampler(self.cfg["cpu_sample_s"]) as sampler:
-            out = self._drive(traffic, submit, submit_topk)
+            out = self._drive(traffic, submit, submit_topk, in_flight,
+                              seconds if in_flight else math.inf)
         if log:
             self.log.append(out["log"])
         ok = np.isfinite(out["latency_ms"])
@@ -200,17 +226,30 @@ class Workload(BaseWorkload):
     # -- measurement -------------------------------------------------------
 
     def measure(self, seconds: float) -> Phase:
-        """Reference rate for the latency metrics, then the rate ladder."""
-        share = self.cfg["reference_share"]
-        phase = self._phase(self.cfg["reference_rps"], seconds * share,
-                            self.server.submit, self.server.submit_topk)
+        """Reference rate, then the capacity closed loop, then the rate ladder.
+
+        The reference phase is returned; ``extra["ops_per_s"]`` carries the
+        capacity, which ``run.py`` reports as this workload's ``ops_per_s``.
+        """
+        cfg = self.cfg
+        submit, submit_topk = self.server.submit, self.server.submit_topk
+        phase = self._phase(cfg["reference_rps"], seconds * cfg["reference_share"],
+                            submit, submit_topk)
         # Memory at the reference rate: how far the ladder climbs depends on
         # the host, and in-flight requests at its top rungs with it.
         rss_mb = peak_rss_mb()
-        ladder = self._ladder(seconds * (1.0 - share))
-        phase.attempted += sum(rung["requests"] for rung in ladder["rungs"])
-        phase.failed += sum(rung["failed"] for rung in ladder["rungs"])
-        phase.extra = {"ladder": ladder, "rss_mb": rss_mb,
+        capacity = self._phase(CAPACITY_DRAW_RPS,
+                               seconds * cfg["capacity_share"], submit,
+                               submit_topk, in_flight=cfg["capacity_in_flight"])
+        ladder = self._ladder(seconds * (1.0 - cfg["reference_share"]
+                                         - cfg["capacity_share"]))
+        phase.attempted += capacity.attempted + sum(
+            rung["requests"] for rung in ladder["rungs"])
+        phase.failed += capacity.failed + sum(
+            rung["failed"] for rung in ladder["rungs"])
+        phase.extra = {"ops_per_s": capacity.ops_per_s, "ladder": ladder,
+                       "capacity_windows": capacity.window_summary(),
+                       "rss_mb": rss_mb,
                        "lag_p99_ms": percentile(phase.extra["lag_ms"], 99)}
         return phase
 

@@ -17,7 +17,7 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from repro.net.transport import HttpTransport
 from repro.serve import build_demo_engine
 
 from harness import Workload as BaseWorkload
-from harness import CpuSampler, Phase, Spans, SpanStats, patched
+from harness import (NULL_SPANS, CpuSampler, NullSpans, Phase, Spans,
+                     SpanStats, patched)
 from probes import serve_metrics
 
 HERE = Path(__file__).resolve().parent
@@ -123,6 +124,9 @@ class Workload(BaseWorkload):
         self.transports: List[CountingTransport] = []
         self.clients: List[NetClient] = []
         self._streams = 0
+        # Over every timed phase, like ``calls``; each phase's transports are new.
+        self.totals = dict.fromkeys(
+            ("sends", "request_bytes", "response_bytes", "kernel_word_ops"), 0)
 
     # -- set-up ------------------------------------------------------------
 
@@ -160,7 +164,7 @@ class Workload(BaseWorkload):
     # -- load --------------------------------------------------------------
 
     def _client_loop(self, client: NetClient, stream: int, deadline: float,
-                     out: List[tuple], spans: Optional[Spans]) -> None:
+                     out: List[tuple], spans: Union[Spans, NullSpans]) -> None:
         rng = np.random.default_rng([self.seed, 3, stream])
         cycle = self.cfg["cycle"]
         call = 0
@@ -169,24 +173,23 @@ class Workload(BaseWorkload):
             call += 1
             indices = rng.integers(0, len(self.pool), size)
             batch = self.pool[indices]
-            token = spans.open("net.call") if spans is not None else None
-            started = time.perf_counter()
-            try:
-                result = (client.infer(batch[0]) if size == 1
-                          else client.infer_many(batch))
-            except Exception:  # noqa: BLE001 -- any failure is counted
-                result = None
-            ended = time.perf_counter()
-            if token is not None:
-                spans.close(token)
+            with spans.span("net.call"):
+                started = time.perf_counter()
+                try:
+                    result = (client.infer(batch[0]) if size == 1
+                              else client.infer_many(batch))
+                except Exception:  # noqa: BLE001 -- any failure is counted
+                    result = None
+                ended = time.perf_counter()
             crc = (None if result is None
                    else zlib.crc32(np.ascontiguousarray(result)))
             out.append((indices, crc, (ended - started) * 1e3, ended))
 
-    def _phase(self, seconds: float, spans: Optional[Spans]) -> Phase:
+    def _phase(self, seconds: float, spans: Union[Spans, NullSpans]) -> Phase:
         outs: List[List[tuple]] = [[] for _ in self.clients]
         for transport in self.transports:
             transport.sends = transport.request_bytes = transport.response_bytes = 0
+        word_ops0 = self.child.ask("cpu")["word_ops"]
         deadline = time.perf_counter() + seconds
         threads = []
         for client, out in zip(self.clients, outs):
@@ -202,12 +205,16 @@ class Workload(BaseWorkload):
         calls = [call for out in outs for call in out]
         self.calls.extend(call[:2] for call in calls)
         ok = [call for call in calls if call[1] is not None]
+        child = self.child.ask("cpu")
+        for name in ("sends", "request_bytes", "response_bytes"):
+            self.totals[name] += self._bytes(name)
+        self.totals["kernel_word_ops"] += child["word_ops"] - word_ops0
         sends = max(self._bytes("sends"), 1)
         return Phase(
             done_times=[call[3] for call in ok], samples=sampler.samples,
             latencies_ms=[call[2] for call in ok],
             attempted=len(calls), failed=len(calls) - len(ok),
-            extra={"child_rss_mb": self.child.ask("cpu")["rss_mb"],
+            extra={"child_rss_mb": child["rss_mb"],
                    "request_bytes": self._bytes("request_bytes") / sends,
                    "response_bytes": self._bytes("response_bytes") / sends,
                    "retries": sum(client.stats()["retry"]["retries"]
@@ -219,7 +226,7 @@ class Workload(BaseWorkload):
     # -- measurement -------------------------------------------------------
 
     def measure(self, seconds: float) -> Phase:
-        return self._phase(seconds, None)
+        return self._phase(seconds, NULL_SPANS)
 
     def measure_traced(self, seconds: float, spans: Spans) -> Phase:
         """A fresh traced child; client calls, codecs and sends are spans."""
@@ -259,11 +266,10 @@ class Workload(BaseWorkload):
         return len(self.calls), failed
 
     def counters(self) -> Dict[str, Any]:
+        """Exact counts over the timed phases, the server child's kernel included."""
         return {"calls": len(self.calls),
                 "samples": int(sum(len(indices) for indices, _ in self.calls)),
-                "request_bytes": self._bytes("request_bytes"),
-                "response_bytes": self._bytes("response_bytes"),
-                "sends": self._bytes("sends")}
+                **self.totals}
 
     def extra_metrics(self, phase: Phase) -> Dict[str, tuple]:
         return {"net.request_bytes": (phase.extra["request_bytes"], "B/call"),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 import zlib
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Union
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from repro.datasets.synthetic import make_cifar10_like
 from repro.nn.models.vgg import build_vgg11
 
 from harness import Workload as BaseWorkload
-from harness import Phase, Spans, SpanStats, checkpoint, patched
+from harness import (NULL_SPANS, NullSpans, Phase, Spans, SpanStats,
+                     checkpoint, patched)
 from probes import kernel_wraps
 
 
@@ -46,20 +47,15 @@ class Workload(BaseWorkload):
         self.model = build_vgg11(seed=self.seed)
         self.backend = deepcam(rows=self.cfg["rows"],
                                hash_lengths=self.cfg["hash_lengths"])
-        # The first batch builds every layer's weight contexts; count its
-        # kernel word operations on the way (the same for every batch).
-        spans = Spans()
-        with kernel_wraps(spans):
-            self.backend.infer(self.model, self.batches[0])
-        self.word_ops_per_batch = sum(attrs["word_ops"] for *_, attrs
-                                      in spans.records)
+        # The first batch builds every layer's weight contexts.
+        self.backend.infer(self.model, self.batches[0])
         self.outputs = {}
         self.runs = []
         self._done = 0
 
     # -- load --------------------------------------------------------------
 
-    def _phase(self, seconds: float, spans: Any) -> Phase:
+    def _phase(self, seconds: float, spans: Union[Spans, NullSpans]) -> Phase:
         images = self.cfg["batch"]
         done: List[float] = []
         latencies: List[float] = []
@@ -69,10 +65,8 @@ class Workload(BaseWorkload):
             which = self._done % len(self.batches)
             self._done += 1
             started = time.perf_counter()
-            token = spans.open("cnn.batch") if spans is not None else None
-            logits = self.backend.infer(self.model, self.batches[which])
-            if token is not None:
-                spans.close(token)
+            with spans.span("cnn.batch"):
+                logits = self.backend.infer(self.model, self.batches[which])
             ended = time.perf_counter()
             samples.append(checkpoint())
             done.extend([ended] * images)
@@ -88,7 +82,7 @@ class Workload(BaseWorkload):
     # -- measurement -------------------------------------------------------
 
     def measure(self, seconds: float) -> Phase:
-        return self._phase(seconds, None)
+        return self._phase(seconds, NULL_SPANS)
 
     def measure_traced(self, seconds: float, spans: Spans) -> Phase:
         simulator = self.backend.simulator
@@ -96,7 +90,8 @@ class Workload(BaseWorkload):
         with kernel_wraps(spans), patched(
                 (functional, "im2col", spans.wrap(functional.im2col, "im2col")),
                 (generator, "activation_contexts_from_patches",
-                 spans.wrap(generator.activation_contexts_from_patches, "hash")),
+                 spans.wrap(generator.activation_contexts_from_patches, "hash",
+                            lambda _generator, patches: {"queries": len(patches)})),
                 (simulator, "cosine_unit",
                  spans.wrap(simulator.cosine_unit, "postprocess"))):
             return self._phase(seconds, spans)
@@ -128,8 +123,7 @@ class Workload(BaseWorkload):
         images = self.cfg["batch"]
         per_batch = {run[2:] for run in self.runs}
         return {"images": len(self.runs) * images, "batches": len(self.runs),
-                "contexts_searches_fills_per_batch": sorted(per_batch),
-                "kernel_word_ops_per_image": self.word_ops_per_batch / images}
+                "contexts_searches_fills_per_batch": sorted(per_batch)}
 
     def layer_metrics(self, plain: Phase, traced: Phase,
                       stats: SpanStats) -> Dict[str, float]:

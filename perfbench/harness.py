@@ -14,7 +14,7 @@ import os
 import resource
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
@@ -188,6 +188,23 @@ class CpuSampler:
 # -- spans -------------------------------------------------------------------
 
 
+class NullSpans:
+    """The untraced run's stand-in for :class:`Spans`: records nothing.
+
+    Workloads open their op spans on whichever recorder they are given, so
+    the traced and untraced runs execute the same code.
+    """
+
+    recording = False
+    _null = nullcontext()
+
+    def span(self, name: str, **attrs: Any) -> nullcontext:
+        return self._null
+
+
+NULL_SPANS = NullSpans()
+
+
 class Spans:
     """In-memory span recorder for the traced run.
 
@@ -196,6 +213,8 @@ class Spans:
     Parents come from a per-thread stack: a wrapped call made inside another
     wrapped call on the same thread is its child.
     """
+
+    recording = True
 
     def __init__(self) -> None:
         self.records: List[tuple] = []
@@ -321,7 +340,8 @@ class SpanStats:
             values["net.wire_ms_p50"] = (values["net.call_ms_p50"]
                                          - values["net.handle_ms_p50"])
         hash_s = self.total_s("hash")
-        values["hash.ms_per_query"] = hash_s * 1e3 / max(ops, 1)
+        queries = self.attr_sum("hash", "queries")  # rows hashed, not ops
+        values["hash.ms_per_query"] = hash_s * 1e3 / queries if queries else 0.0
         values["hash.busy_share"] = hash_s / wall_s
         values["kernel.word_ops"] = self.attr_sum("kernel", "word_ops") / max(ops, 1)
         return values

@@ -4,7 +4,8 @@ Started by ``classify_remote.py`` as ``netchild.py <config-json> <seed>
 <trace>``.  It talks to its parent in JSON lines over stdin/stdout:
 
 * on start it prints ``{"port": ...}`` once the server is listening;
-* ``cpu`` answers ``{"cpu_s": ..., "rss_mb": ...}`` (this process so far);
+* ``cpu`` answers ``{"cpu_s": ..., "rss_mb": ..., "word_ops": ...}`` (this
+  process so far; ``word_ops`` counts the packed kernel's word operations);
 * ``stop`` answers with the same readings plus the engine's served-query
   count and, when traced, every span and micro-batch, then shuts down and
   exits.
@@ -27,11 +28,13 @@ from repro.net import NetServer  # noqa: E402
 from repro.shard.engine import build_demo_sharded_engine  # noqa: E402
 
 from harness import Spans, cpu_seconds, peak_rss_mb  # noqa: E402
-from probes import BatchObserver, TimedEngine, kernel_wraps  # noqa: E402
+from probes import (BatchObserver, TimedEngine, WordOps,  # noqa: E402
+                    counting_word_ops, kernel_wraps)
 
 
-def readings() -> dict:
-    return {"cpu_s": cpu_seconds(), "rss_mb": peak_rss_mb()}
+def readings(word_ops: WordOps) -> dict:
+    return {"cpu_s": cpu_seconds(), "rss_mb": peak_rss_mb(),
+            "word_ops": word_ops.total}
 
 
 def reply(message: dict) -> None:
@@ -51,6 +54,7 @@ def main() -> int:
     with ExitStack() as stack:
         stack.callback(engine.close)
         stack.callback(server.stop)
+        word_ops = stack.enter_context(counting_word_ops())
         if traced:
             stack.enter_context(kernel_wraps(spans))
             # Instance-level wrap: the HTTP handler calls app.handle per request.
@@ -59,10 +63,10 @@ def main() -> int:
         for line in sys.stdin:
             command = line.strip()
             if command == "cpu":
-                reply(readings())
+                reply(readings(word_ops))
             elif command == "stop":
                 break
-    reply({**readings(), "queries_served": engine.stats()["queries_served"],
+    reply({**readings(word_ops), "queries_served": engine.stats()["queries_served"],
            "spans": spans.records if traced else [],
            "batches": [observer.collected, observer.completed] if traced else []})
     return 0

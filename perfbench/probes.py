@@ -1,14 +1,16 @@
-"""Timing wrappers of the traced run; the untraced run uses none of them.
+"""Timing wrappers of the traced run, and the kernel word-op counter.
 
-Each wrapper times a call into one layer's public surface from outside the
-program: an engine proxy handed to the server in place of the engine, a
-``ServeObserver`` for the micro-batch window, and module-attribute wraps
-for kernels that no public object exposes.
+Each timing wrapper times a call into one layer's public surface from
+outside the program: an engine proxy handed to the server in place of the
+engine, a ``ServeObserver`` for the micro-batch window, and module-attribute
+wraps for kernels that no public object exposes.  The untraced run uses
+none of them; it only counts the kernel's word operations.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from typing import Any, Iterable, List, Tuple
 
 import numpy as np
@@ -121,3 +123,37 @@ def kernel_wraps(spans: Spans) -> patched:
         (accelerator, "packed_hamming_matrix",
          spans.wrap(accelerator.packed_hamming_matrix, "kernel", _word_ops)),
     )
+
+
+class WordOps:
+    """Running total of the packed kernel's word operations (thread-safe)."""
+
+    def __init__(self) -> None:
+        self.total = 0
+        self._lock = threading.Lock()
+
+    def wrap(self, fn: Any) -> Any:
+        def counted(queries: np.ndarray, rows: Any, *args: Any,
+                    **kwargs: Any) -> Any:
+            ops = _word_ops(queries, rows)["word_ops"]
+            with self._lock:
+                self.total += ops
+            return fn(queries, rows, *args, **kwargs)
+        return counted
+
+
+@contextmanager
+def counting_word_ops():
+    """Count every packed kernel call at the call sites :func:`kernel_wraps` times.
+
+    A counter only, no clock: cheap enough for the untraced run.
+    """
+    import repro.core.accelerator as accelerator
+    import repro.shard.pipeline as pipeline
+    counter = WordOps()
+    with patched(
+            (pipeline, "packed_hamming_matrix",
+             counter.wrap(pipeline.packed_hamming_matrix)),
+            (accelerator, "packed_hamming_matrix",
+             counter.wrap(accelerator.packed_hamming_matrix))):
+        yield counter

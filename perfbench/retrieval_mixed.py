@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from repro.core.hashing import RandomProjectionHasher
 from repro.retrieval import RetrievalIndex
 
 from harness import Workload as BaseWorkload
-from harness import Phase, Spans, SpanStats, checkpoint, percentile
+from harness import (NULL_SPANS, NullSpans, Phase, Spans, SpanStats,
+                     checkpoint, percentile)
 from probes import kernel_wraps
 
 
@@ -105,7 +106,8 @@ class Workload(BaseWorkload):
         self._writes_done = 0
         self._searches_done = 0
         for _ in range(self.cfg["warmup_cycles"]):
-            self._cycle(None, [], [], [])
+            self._cycle(NULL_SPANS, [], [], [])
+        self._warmup_ops = len(self.ops)  # verified, but not counted
 
     def close(self) -> None:
         if self.index is not None:
@@ -114,51 +116,45 @@ class Workload(BaseWorkload):
 
     # -- load --------------------------------------------------------------
 
-    def _search(self, spans: Optional[Spans]) -> float:
+    def _search(self, spans: Union[Spans, NullSpans]) -> float:
         batch = self.cfg["search_batch"]
         first = (self._searches_done % self.cfg["query_batches"]) * batch
         self._searches_done += 1
         queries = np.arange(first, first + batch)
         index = self.index
         started = time.perf_counter()
-        if spans is None:
-            result = index.pipeline.topk_packed(
-                index.hasher.hash_batch_packed(self.queries[queries]),
-                self.cfg["k"])
-        else:
-            with spans.span("retrieval.search"):
-                with spans.span("hash"):
-                    packed = index.hasher.hash_batch_packed(self.queries[queries])
-                with spans.span("shard.topk"):
-                    result = index.pipeline.topk_packed(packed, self.cfg["k"])
+        with spans.span("retrieval.search"):
+            with spans.span("hash", queries=batch):
+                packed = index.hasher.hash_batch_packed(self.queries[queries])
+            with spans.span("shard.topk"):
+                result = index.pipeline.topk_packed(packed, self.cfg["k"])
         ended = time.perf_counter()
         self.ops.append(("search", queries, result.indices, result.distances))
         return ended - started
 
-    def _write(self, spans: Optional[Spans]) -> tuple:
+    def _write(self, spans: Union[Spans, NullSpans]) -> tuple:
+        """One re-index write; the traced run also takes its allocation peak."""
         block = self._writes_done % self.cfg["write_batches"]
         offset = int(self.offsets[self._writes_done % len(self.offsets)])
         self._writes_done += 1
         index = self.index
+        alloc = None
         started = time.perf_counter()
-        if spans is None:
-            index.pipeline.write_rows(index.hasher.hash_batch(self.writes[block]),
-                                      start_row=offset)
-            alloc = None
-        else:
-            with spans.span("retrieval.write"):
-                with spans.span("hash"):
-                    bits = index.hasher.hash_batch(self.writes[block])
+        with spans.span("retrieval.write"):
+            with spans.span("hash", queries=self.cfg["write_rows"]):
+                bits = index.hasher.hash_batch(self.writes[block])
+            if spans.recording:
                 tracemalloc.start()
-                with spans.span("shard.write"):
-                    index.pipeline.write_rows(bits, start_row=offset)
+            with spans.span("shard.write"):
+                index.pipeline.write_rows(bits, start_row=offset)
+            if spans.recording:
                 alloc = tracemalloc.get_traced_memory()[1] / 2**20
                 tracemalloc.stop()
         ended = time.perf_counter()
         self.ops.append(("write", block, offset))
         return ended - started, alloc
 
-    def _cycle(self, spans: Optional[Spans], searches: list, writes: list,
+    def _cycle(self, spans: Union[Spans, NullSpans], searches: list, writes: list,
                samples: list) -> None:
         """``searches_per_write`` searches, then one write."""
         for _ in range(self.cfg["searches_per_write"]):
@@ -169,7 +165,7 @@ class Workload(BaseWorkload):
         writes.append((seconds * 1e3, alloc))
         samples.append(checkpoint())
 
-    def _phase(self, seconds: float, spans: Optional[Spans]) -> Phase:
+    def _phase(self, seconds: float, spans: Union[Spans, NullSpans]) -> Phase:
         searches: List[tuple] = []
         writes: List[tuple] = []
         samples = [checkpoint()]
@@ -187,7 +183,7 @@ class Workload(BaseWorkload):
     # -- measurement -------------------------------------------------------
 
     def measure(self, seconds: float) -> Phase:
-        return self._phase(seconds, None)
+        return self._phase(seconds, NULL_SPANS)
 
     def measure_traced(self, seconds: float, spans: Spans) -> Phase:
         with kernel_wraps(spans):
@@ -217,11 +213,10 @@ class Workload(BaseWorkload):
         return len(self.ops), failed
 
     def counters(self) -> Dict[str, Any]:
-        searches = sum(op[0] == "search" for op in self.ops)
-        words = -(-self.cfg["index"]["hash_length"] // 64)
-        return {"searches": searches, "writes": len(self.ops) - searches,
-                "kernel_word_ops": searches * self.cfg["search_batch"]
-                * self.cfg["index"]["capacity"] * words}
+        """Exact counts over the timed phases (set-up excluded)."""
+        timed = self.ops[self._warmup_ops:]
+        searches = sum(op[0] == "search" for op in timed)
+        return {"searches": searches, "writes": len(timed) - searches}
 
     def extra_metrics(self, phase: Phase) -> Dict[str, tuple]:
         writes = phase.extra["write_ms"]

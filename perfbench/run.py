@@ -38,6 +38,8 @@ MODULES = {
     "retrieval-mixed": "retrieval_mixed",
     "cnn-vhl": "cnn_vhl",
 }
+#: Complete builds per run; ``setup_s`` takes their median.
+SETUP_REPETITIONS = 3
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -81,20 +83,25 @@ def main(argv: list[str]) -> int:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path.insert(0, str(ROOT / "src"))
     import harness
+    import probes
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     cfg = json.loads((HERE / "workloads.json").read_text())[args.workload]
     workload = importlib.import_module(MODULES[args.workload]).Workload(
         cfg, args.seed)
     start_s = time.perf_counter() - PROCESS_START  # imports and inputs
     try:
-        setups = set_up(workload, cfg["setup_repetitions"])
+        setups = set_up(workload, SETUP_REPETITIONS)
         record = {"setup_runs_s": setups, "start_s": start_s}
-        if args.trace == 0:
-            values, extra = end_to_end(harness, workload, args.seconds, record)
-            values["setup_s"] = start_s + statistics.median(setups)
-        else:
-            values, extra = per_layer(harness, workload, args, spec, record)
-        record["counters"] = workload.counters()
+        with probes.counting_word_ops() as word_ops:
+            if args.trace == 0:
+                values, extra = end_to_end(harness, workload, args.seconds,
+                                           record)
+                values["setup_s"] = start_s + statistics.median(setups)
+            else:
+                values, extra = per_layer(harness, workload, args, spec, record)
+        # classify-remote counts its server child's kernel calls itself.
+        record["counters"] = {"kernel_word_ops": word_ops.total,
+                              **workload.counters()}
         attempted, failed = workload.verify()
     finally:
         workload.close()
@@ -129,7 +136,7 @@ def end_to_end(harness, workload, seconds: float, record: dict) -> tuple:
     phase = workload.measure(seconds)
     record["host_steal_s"] = harness.host_steal_s() - steal0
     values = {
-        "ops_per_s": phase.ops_per_s,
+        "ops_per_s": phase.extra.get("ops_per_s", phase.ops_per_s),
         "latency_p50_ms": phase.latency_ms(50),
         "cpu_ms_per_op": phase.cpu_ms_per_op,
         "peak_rss_mb": phase.extra.get("rss_mb", harness.peak_rss_mb())
