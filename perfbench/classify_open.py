@@ -32,6 +32,8 @@ from probes import BatchObserver, TimedEngine, kernel_wraps, serve_metrics
 RESULT_TIMEOUT_S = 30.0
 #: Requests drawn per second of the capacity loop, more than a host completes.
 CAPACITY_DRAW_RPS = 40000
+#: Slices each of the reference rate and the capacity loop, run in turns.
+ROUNDS = 4
 
 
 class Traffic:
@@ -226,21 +228,29 @@ class Workload(BaseWorkload):
     # -- measurement -------------------------------------------------------
 
     def measure(self, seconds: float) -> Phase:
-        """Reference rate, then the capacity closed loop, then the rate ladder.
+        """Reference rate and capacity closed loop in turns, then the ladder.
 
-        The reference phase is returned; ``extra["ops_per_s"]`` carries the
-        capacity, which ``run.py`` reports as this workload's ``ops_per_s``.
+        The two alternate in ``ROUNDS`` slices each, so both sample the
+        host's drifting speed over most of the run.  The joined reference
+        slices are returned; ``extra["ops_per_s"]`` carries the capacity,
+        which ``run.py`` reports as this workload's ``ops_per_s``.
         """
         cfg = self.cfg
         submit, submit_topk = self.server.submit, self.server.submit_topk
-        phase = self._phase(cfg["reference_rps"], seconds * cfg["reference_share"],
-                            submit, submit_topk)
-        # Memory at the reference rate: how far the ladder climbs depends on
-        # the host, and in-flight requests at its top rungs with it.
-        rss_mb = peak_rss_mb()
-        capacity = self._phase(CAPACITY_DRAW_RPS,
-                               seconds * cfg["capacity_share"], submit,
-                               submit_topk, in_flight=cfg["capacity_in_flight"])
+        reference, capacity = [], []
+        for _ in range(ROUNDS):
+            reference.append(self._phase(
+                cfg["reference_rps"], seconds * cfg["reference_share"] / ROUNDS,
+                submit, submit_topk))
+            if not capacity:
+                # Memory at the reference rate: the closed loop's and the
+                # ladder's in-flight requests vary with the host's speed.
+                rss_mb = peak_rss_mb()
+            capacity.append(self._phase(
+                CAPACITY_DRAW_RPS, seconds * cfg["capacity_share"] / ROUNDS,
+                submit, submit_topk, in_flight=cfg["capacity_in_flight"]))
+        lag_ms = np.concatenate([part.extra["lag_ms"] for part in reference])
+        phase, capacity = Phase.joined(reference), Phase.joined(capacity)
         ladder = self._ladder(seconds * (1.0 - cfg["reference_share"]
                                          - cfg["capacity_share"]))
         phase.attempted += capacity.attempted + sum(
@@ -250,7 +260,7 @@ class Workload(BaseWorkload):
         phase.extra = {"ops_per_s": capacity.ops_per_s, "ladder": ladder,
                        "capacity_windows": capacity.window_summary(),
                        "rss_mb": rss_mb,
-                       "lag_p99_ms": percentile(phase.extra["lag_ms"], 99)}
+                       "lag_p99_ms": percentile(lag_ms, 99)}
         return phase
 
     def measure_traced(self, seconds: float, spans: Spans) -> Phase:

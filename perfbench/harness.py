@@ -83,11 +83,17 @@ class Phase:
     in the same order.  ``samples`` are :func:`checkpoint` readings from the
     phase's start to its end, with any server child's CPU included.
 
-    The phase is cut into ``WINDOWS`` consecutive windows and only the half
-    with the least host steal counts: rates are medians over those windows
-    and latency percentiles are taken over their samples.  Other guests on
-    the host take CPU from this VM for minutes at a time, and the kept
-    windows are those least disturbed; the run record keeps every window.
+    The phase is cut into ``WINDOWS`` consecutive windows: rates are medians
+    over the windows and latency percentiles are taken over their samples.
+    A window in which the hypervisor stole more than ``STEAL_LIMIT`` of this
+    VM's CPUs is dropped, unless that would drop more than half of them; then
+    the half with the least steal counts.  The host's speed drifts by a fifth
+    over tens of seconds with no steal at all, so every other window counts,
+    and the run record keeps them all.
+
+    :meth:`joined` makes one phase of slices run apart in time, so that a
+    metric samples the host across the whole run; its windows are the
+    slices' windows.
     """
 
     done_times: Sequence[float]
@@ -96,11 +102,24 @@ class Phase:
     attempted: int
     failed: int
     extra: Dict[str, Any] = field(default_factory=dict)
+    parts: List["Phase"] = field(default_factory=list)
 
     WINDOWS = 10
+    STEAL_LIMIT = 0.05
+
+    @classmethod
+    def joined(cls, parts: List["Phase"]) -> "Phase":
+        """One phase of ``parts``, which keep their own ``extra``."""
+        return cls(done_times=np.concatenate([p.done_times for p in parts]),
+                   samples=[s for p in parts for s in p.samples],
+                   latencies_ms=[ms for p in parts for ms in p.latencies_ms],
+                   attempted=sum(p.attempted for p in parts),
+                   failed=sum(p.failed for p in parts), parts=parts)
 
     @property
     def wall_s(self) -> float:
+        if self.parts:
+            return sum(p.wall_s for p in self.parts)
         return self.samples[-1][0] - self.samples[0][0]
 
     @property
@@ -108,6 +127,8 @@ class Phase:
         return len(self.done_times)
 
     def _windows(self) -> List[Dict[str, Any]]:
+        if self.parts:
+            return [w for p in self.parts for w in p._windows()]
         done = np.asarray(self.done_times, dtype=np.float64)
         order = np.argsort(done, kind="stable")
         done = done[order]
@@ -124,8 +145,13 @@ class Phase:
         return windows
 
     def _kept(self) -> List[Dict[str, Any]]:
-        """The half of the windows with the least host steal per second."""
+        """The windows the host did not steal from, or the least-stolen half."""
         windows = [window for window in self._windows() if window["seconds"] > 0]
+        capacity = os.cpu_count() or 1
+        kept = [w for w in windows
+                if w["steal_s"] <= self.STEAL_LIMIT * capacity * w["seconds"]]
+        if 2 * len(kept) >= len(windows):
+            return kept
         windows.sort(key=lambda window: window["steal_s"] / window["seconds"])
         return windows[: max(1, (len(windows) + 1) // 2)]
 
