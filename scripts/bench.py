@@ -20,8 +20,9 @@ Usage::
     PYTHONPATH=src python scripts/bench.py --quick     # smoke run (make bench-quick)
     PYTHONPATH=src python scripts/bench.py --skip-paper --out-dir /tmp
 
-Exit status is nonzero when the kernel acceptance criterion fails, so CI
-can gate on perf regressions.
+Exit status is nonzero when any acceptance gate fails (kernel, serve,
+shard, executor, retrieval, and the loopback wire-tax ceiling), so CI can
+gate on perf regressions.
 """
 
 from __future__ import annotations
@@ -142,7 +143,6 @@ def main(argv: list[str] | None = None) -> int:
     for name, speedup in retrieval_summary["speedups"].items():
         print(f"[bench]   retrieval partial vs full gather {name}: "
               f"{speedup:.1f}x")
-    # Report-only: the wire's loopback overhead factor, no gate attached.
     for op, factor in net_summary["remote_vs_inproc"].items():
         print(f"[bench]   net remote vs in-process {op}: {factor:.1f}x")
     # Report-only: tracing overhead trajectory (the gate is `make trace-smoke`).
@@ -194,6 +194,12 @@ def main(argv: list[str] | None = None) -> int:
           f"(required >= {retrieval_acceptance['min_required_speedup']}x) "
           f"-> {verdict}")
     failed = failed or not retrieval_acceptance["passed"]
+    net_acceptance = net_summary["acceptance"]
+    verdict = "PASS" if net_acceptance["passed"] else "FAIL"
+    print(f"[bench] net acceptance {net_acceptance['workload']}: "
+          f"{net_acceptance['factor']:.1f}x "
+          f"(allowed <= {net_acceptance['max_allowed_factor']}x) -> {verdict}")
+    failed = failed or not net_acceptance["passed"]
     return 1 if failed else 0
 
 

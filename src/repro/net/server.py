@@ -524,14 +524,34 @@ class _Handler(BaseHTTPRequestHandler):
     """Thin socket adapter: reads the body, delegates to the app."""
 
     protocol_version = "HTTP/1.1"  # keep-alive for the pooled clients
+    # TCP_NODELAY on every accepted socket (StreamRequestHandler.setup).
+    # The headers and the body leave in two send() calls; with Nagle on,
+    # the body waits out the client's delayed ACK (~40 ms per response).
+    disable_nagle_algorithm = True
     app: NetApp  # bound by NetServer via a subclass attribute
 
     def _dispatch(self) -> None:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        raw_length = self.headers.get("Content-Length", "") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the stream cannot be
+            # resynchronised: answer, then drop the connection.
+            self._reply(self.app._error_response(
+                "bad_request", f"malformed Content-Length {raw_length!r}"),
+                close=True)
+            return
         body = self.rfile.read(length) if length else b""
-        status, content_type, payload = self.app.handle(
-            self.command, self.path, dict(self.headers.items()), body)
+        self._reply(self.app.handle(
+            self.command, self.path, dict(self.headers.items()), body))
+
+    def _reply(self, response: Response, close: bool = False) -> None:
+        status, content_type, payload = response
         self.send_response(status)
+        if close:
+            self.send_header("Connection", "close")  # sets close_connection
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
         if status == 429:

@@ -173,8 +173,13 @@ class HttpTransport:
                 f"cannot connect to {self.host}:{self.port}: {error}"
             ) from error
         # Connected: the remaining timeout governs reads, not the handshake.
+        # A POST leaves as two send() calls (headers, then body); with
+        # Nagle on, the body would wait out the peer's delayed ACK.
+        # CPython's connect() already sets TCP_NODELAY; the transport
+        # states it rather than rely on that.
         if conn.sock is not None:
             conn.sock.settimeout(self.read_timeout_s)
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return conn
 
     def _send_on(self, conn: http.client.HTTPConnection, method: str,

@@ -11,7 +11,9 @@ from repro.api.bench import (
     benchmark_callable,
     collect_environment,
     e2e_benchmarks,
+    NET_MAX_REMOTE_VS_INPROC,
     kernel_microbench,
+    net_benchmarks,
     record_from_times,
     serve_benchmarks,
     time_callable,
@@ -112,6 +114,21 @@ class TestSuites:
                                    "min_required_speedup", "passed"}
         assert summary["throughput_rps"]["microbatch_64"] > 0
         assert 0.0 <= summary["zipf_cache_hit_rate"] <= 1.0
+
+    def test_net_suite_gates_the_worst_wire_tax(self):
+        records, summary = net_benchmarks(quick=True, rounds=1)
+        assert {record.name for record in records} == {
+            "net/inproc/classify/batch=16", "net/remote/classify/batch=16",
+            "net/inproc/topk_k=8/batch=16", "net/remote/topk_k=8/batch=16",
+        }
+        acceptance = summary["acceptance"]
+        assert set(acceptance) == {"workload", "factor",
+                                   "max_allowed_factor", "passed"}
+        assert acceptance["factor"] == max(
+            summary["remote_vs_inproc"].values())
+        assert acceptance["max_allowed_factor"] == NET_MAX_REMOTE_VS_INPROC
+        assert acceptance["passed"] == (
+            acceptance["factor"] <= NET_MAX_REMOTE_VS_INPROC)
 
     def test_serve_suite_is_json_serializable(self, tmp_path):
         records, summary = serve_benchmarks(total_requests=120, rounds=1)

@@ -8,6 +8,7 @@ returns -- the network layer adds transport, never arithmetic.
 from __future__ import annotations
 
 import asyncio
+import socket
 
 import numpy as np
 import pytest
@@ -295,6 +296,56 @@ class TestNetServerLifecycle:
             with NetClient(server.base_url) as client:
                 client.healthz()
             assert server.stats()["requests"] >= 1
+
+
+def raw_exchange(base_url, request, timeout_s=5.0):
+    """Send raw request bytes; read until the server closes the socket."""
+    host, port = base_url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=timeout_s) as sock:
+        sock.settimeout(timeout_s)
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestHandlerSocket:
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5"])
+    def test_malformed_content_length_is_bad_request_then_close(self, length):
+        with NetServer(shard_rows=4, word_bits=128) as server:
+            request = (f"POST /v1/shard/search HTTP/1.1\r\n"
+                       f"Host: localhost\r\n"
+                       f"Content-Type: {JSON}\r\n"
+                       f"Content-Length: {length}\r\n\r\n").encode()
+            # Returns only once the server closes the connection; a
+            # handler stuck reading the body would hit the timeout.
+            reply = raw_exchange(server.base_url, request)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        assert status_line.split()[1] == "400"
+        assert "connection: close" in (line.lower() for line in header_lines)
+        with pytest.raises(protocol.WireError) as excinfo:
+            protocol.parse_response(protocol.loads(body))
+        assert excinfo.value.code == "bad_request"
+        assert length in excinfo.value.message
+
+    def test_accepted_connections_disable_nagle(self):
+        # Nagle on the accepted socket stalls every response on the
+        # client's delayed ACK; the option itself is the deterministic
+        # witness (no wall-clock bound).
+        with NetServer(engine=build_demo_engine(**GEOMETRY)) as server:
+            with NetClient(server.base_url) as client:
+                client.infer_many(demo_queries(server.app.server.engine, 2))
+                httpd = server._httpd
+                with httpd._connections_lock:
+                    connections = list(httpd._connections)
+                assert connections
+                for connection in connections:
+                    assert connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
 
 class TestNetClientLoopback:

@@ -8,6 +8,7 @@ sequence are pinned, not sampled.
 from __future__ import annotations
 
 import random
+import socket
 import threading
 
 import pytest
@@ -273,9 +274,7 @@ class TestHttpTransport:
 
     def test_connect_error_on_unbound_port(self):
         # Reserve a port, close it, and dial it: nothing listens there.
-        import socket as socket_module
-
-        probe = socket_module.socket()
+        probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
@@ -294,6 +293,16 @@ class TestHttpTransport:
             assert stats["requests"] == 3
             # All three rode the same pooled connection.
             assert stats["reconnects"] == 0
+        finally:
+            transport.close()
+
+    def test_connections_disable_nagle(self, shard_server):
+        transport = HttpTransport(shard_server.base_url)
+        try:
+            assert transport.send_once("GET", "/v1/healthz").status == 200
+            sock = transport._conn.sock
+            assert sock.getsockopt(socket.IPPROTO_TCP,
+                                   socket.TCP_NODELAY) != 0
         finally:
             transport.close()
 
