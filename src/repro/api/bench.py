@@ -952,9 +952,10 @@ NET_BENCH_ENGINE: dict[str, int] = {
     "classes": 64, "input_dim": 128, "hash_length": 256,
 }
 #: Ceiling on the loopback wire tax (remote median / in-process median,
-#: worst operation).  Healthy loopback measures ~1.5x (quick) to ~2.5x
-#: (full); a response stalled on the client's delayed ACK (Nagle on the
-#: server socket) measures ~17x (quick) to ~40x (full).
+#: worst operation).  Healthy loopback measures ~1.2-1.5x (quick) and
+#: ~1.8-2.5x (full) on a 2-core VM; a response stalled on the client's
+#: delayed ACK (Nagle on the server socket) measures ~17-20x (quick) and
+#: ~40-49x (full) on the same VM.
 NET_MAX_REMOTE_VS_INPROC: float = 8.0
 
 

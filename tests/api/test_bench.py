@@ -8,10 +8,10 @@ import pytest
 from repro.api.bench import (
     BENCH_SCHEMA_VERSION,
     BenchRecord,
+    NET_MAX_REMOTE_VS_INPROC,
     benchmark_callable,
     collect_environment,
     e2e_benchmarks,
-    NET_MAX_REMOTE_VS_INPROC,
     kernel_microbench,
     net_benchmarks,
     record_from_times,
