@@ -39,6 +39,7 @@ import numpy as np
 from repro.core.bitops import (
     HAVE_BITWISE_COUNT,
     KERNEL_BLOCK_ROWS,
+    accumulator_dtype,
     pack_bits,
     packed_hamming_matrix,
 )
@@ -122,6 +123,14 @@ RETRIEVAL_ACCEPTANCE_MIN_SPEEDUP: float = 2.0
 
 #: k values of the partial-vs-full gather curve (the acceptance k included).
 RETRIEVAL_CURVE_KS: tuple[int, ...] = (4, 16, 64)
+
+#: The retrieval-shaped kernel cell: few queries against many rows, the
+#: shape of a top-k search over a large index (the square grid below never
+#: has it).  Timed with the narrow ``out=`` counts the fused top-k path
+#: uses; recorded, not gated.
+KERNEL_RETRIEVAL_CELL: dict[str, int] = {
+    "queries": 16, "rows": 131072, "hash_length": 256,
+}
 
 #: (rows, hash_length) grid of the kernel microbench.
 DEFAULT_KERNEL_GRID: tuple[tuple[int, int], ...] = (
@@ -289,6 +298,10 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
     serial packed kernel* is reported per cell -- expect ~1x on single-core
     boxes.
 
+    The :data:`KERNEL_RETRIEVAL_CELL` record
+    (``kernel/packed_popcount_narrow/queries=16,rows=131072,k=256``) times
+    the retrieval shape on every run, recorded under ``retrieval_cell``.
+
     The execution-plane scaling curve rides along: the acceptance workload
     also runs through the process engine at each of
     :data:`KERNEL_SCALING_WORKERS` workers (``kernel/scaling/workers=N``,
@@ -374,6 +387,30 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
                 "passed": speedup >= ACCEPTANCE_MIN_SPEEDUP,
             }
 
+    # -- retrieval-shaped cell ---------------------------------------------------
+    queries, rows, k = (KERNEL_RETRIEVAL_CELL[key]
+                        for key in ("queries", "rows", "hash_length"))
+    bits_q = rng.integers(0, 2, size=(queries, k), dtype=np.uint8)
+    bits_r = rng.integers(0, 2, size=(rows, k), dtype=np.uint8)
+    packed_q, packed_r = pack_bits(bits_q), pack_bits(bits_r)
+    narrow = np.empty((queries, rows), dtype=accumulator_dtype(packed_q.shape[1]))
+    packed_hamming_matrix(packed_q, packed_r, out=narrow)
+    # Spot-check the first rows only: the GEMM reference over all of them
+    # would hold a 131072-row +-1 matrix.
+    head = slice(0, 1024)
+    if not np.array_equal(
+            narrow[:, head], hamming_distance_matrix_unpacked(bits_q, bits_r[head])):
+        raise AssertionError("narrow packed kernel diverged from GEMM reference "
+                             "on the retrieval cell")
+    retrieval_cell = f"queries={queries},rows={rows},k={k}"
+    retrieval_record = benchmark_callable(
+        f"kernel/packed_popcount_narrow/{retrieval_cell}", "kernel",
+        {"rows_a": queries, "rows_b": rows, "hash_length": k,
+         "out_dtype": str(narrow.dtype)},
+        lambda: packed_hamming_matrix(packed_q, packed_r, out=narrow),
+        rounds=rounds)
+    records.append(retrieval_record)
+
     # -- execution-plane worker scaling ----------------------------------------
     # The process engine at 1/2/4/8 workers on the acceptance workload
     # (kernel/scaling/workers=N), against the serial packed kernel.  Row
@@ -417,6 +454,10 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
                                "threaded_speedups": threaded_speedups,
                                "thread_counts": list(thread_counts),
                                "worker_scaling": worker_scaling,
+                               "retrieval_cell": {
+                                   "workload": retrieval_cell,
+                                   "median_s": retrieval_record.median_s,
+                                   "gated": False},
                                "cores": os.cpu_count() or 1}
     if acceptance is not None:
         summary["acceptance"] = acceptance

@@ -55,9 +55,20 @@ HAVE_BITWISE_COUNT: bool = hasattr(np, "bitwise_count")
 #: overflow: the agreement matrix lies in [-k, k], so k must fit in int16.
 INT16_SAFE_MAX_BITS: int = int(np.iinfo(np.int16).max)
 
-#: Row-block size of the blocked kernel; keeps the per-block XOR temporary
-#: (block x rows_b x 8 bytes per word) inside the last-level cache.
+#: Row-block size of the blocked kernel: the unit of work the threaded and
+#: execution-plane paths hand out.  Cache residency comes from the column
+#: tiling below, not from this bound.
 KERNEL_BLOCK_ROWS: int = 512
+
+#: Target elements per kernel tile (block height x tile columns).  Each
+#: element costs 8 bytes of XOR, 1 of popcount and 2 of accumulator, so
+#: the tile buffers no longer grow with ``rows_b``: about 3 MB for blocks
+#: of up to 32 rows, 46 MB for a full 512-row block.
+KERNEL_TILE_ELEMENTS: int = 1 << 18
+
+#: Narrowest column tile: below this the per-call ufunc overhead costs
+#: more than the cache saves, and every short operand stays one tile.
+KERNEL_MIN_TILE_COLUMNS: int = 8192
 
 #: Environment variable enabling multi-threaded row-block execution of
 #: :func:`packed_hamming_matrix`.  Unset or "1" keeps the kernel serial;
@@ -211,8 +222,13 @@ def unpack_bits(packed: np.ndarray, bit_length: int) -> np.ndarray:
     return bits[..., :bit_length]
 
 
-def _accumulator_dtype(word_count: int) -> np.dtype:
-    """Smallest unsigned accumulator that cannot overflow a row's popcount."""
+def accumulator_dtype(word_count: int) -> np.dtype:
+    """Narrowest dtype that cannot overflow a row's popcount.
+
+    ``uint16`` up to 1023 words (65472 bits), ``int64`` beyond.  Pass an
+    array of this dtype as ``out=`` to :func:`packed_hamming_matrix` to
+    keep the counts narrow.
+    """
     max_count = word_count * WORD_BITS
     if max_count <= np.iinfo(np.uint16).max:
         return np.dtype(np.uint16)
@@ -246,28 +262,80 @@ def packed_hamming_vector(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return popcount(m ^ q[None, :]).sum(axis=1, dtype=np.int64)
 
 
+def tile_columns(block_rows: int, rows_b: int) -> int:
+    """Column tile width of the kernel for these operand shapes.
+
+    ``KERNEL_TILE_ELEMENTS / block_rows`` columns, at least
+    :data:`KERNEL_MIN_TILE_COLUMNS`, at most ``rows_b`` (one tile).
+    """
+    tile = max(KERNEL_MIN_TILE_COLUMNS, KERNEL_TILE_ELEMENTS // max(block_rows, 1))
+    return max(1, min(tile, rows_b))
+
+
+def _popcount_into(words: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = popcount(words)`` elementwise, on either backend."""
+    if HAVE_BITWISE_COUNT:
+        np.bitwise_count(words, out=out)
+    else:
+        counts = POPCOUNT_LUT[words.view(np.uint8)]
+        counts.reshape(words.shape + (WORD_BYTES,)).sum(axis=-1, out=out)
+
+
+class _TileBuffers:
+    """Reusable buffers of one kernel tile: ``b`` word-major, XOR, count, sum."""
+
+    def __init__(self, height: int, tile: int, word_count: int,
+                 acc_dtype: np.dtype) -> None:
+        self.word_count = word_count
+        self.words = np.empty(word_count * tile, dtype=np.uint64)
+        self.xor = np.empty(height * tile, dtype=np.uint64)
+        self.count = np.empty(height * tile, dtype=np.uint8)
+        self.acc = np.empty(height * tile, dtype=acc_dtype)
+
+    def views(self, height: int, width: int) -> tuple:
+        """Contiguous ``(words, width)`` and three ``(height, width)`` views."""
+        size = height * width
+        words = self.words[:self.word_count * width]
+        return ((words.reshape(self.word_count, width),)
+                + tuple(buffer[:size].reshape(height, width)
+                        for buffer in (self.xor, self.count, self.acc)))
+
+
 def _hamming_block(a: np.ndarray, b: np.ndarray, out: np.ndarray,
                    start: int, stop: int, acc_dtype: np.dtype,
-                   xor_buffer: np.ndarray | None = None) -> None:
-    """Fill ``out[start:stop]`` with distances of ``a[start:stop]`` vs ``b``."""
+                   buffers: _TileBuffers | None = None) -> None:
+    """Fill ``out[start:stop]`` with distances of ``a[start:stop]`` vs ``b``.
+
+    Walks ``b`` in column tiles of :func:`tile_columns` width.  Each tile
+    is first copied word-major, so every XOR below reads one contiguous
+    row of words.  Per word the tile is XORed into one buffer, popcounted
+    into a second and summed into the accumulator, all through ``out=``;
+    the tile's counts then land in ``out`` in ``out``'s dtype.
+    """
     height = stop - start
-    rows_b = b.shape[0]
-    if xor_buffer is None:
-        xor_buffer = np.empty((height, rows_b), dtype=np.uint64)
-    block = xor_buffer[:height]
-    acc = np.zeros((height, rows_b), dtype=acc_dtype)
-    for word in range(a.shape[1]):
-        np.bitwise_xor(a[start:stop, word, None], b[None, :, word], out=block)
-        if HAVE_BITWISE_COUNT:
-            acc += np.bitwise_count(block)
-        else:
-            acc += popcount_lut(block).astype(acc_dtype, copy=False)
-    out[start:stop] = acc
+    rows_b, word_count = b.shape
+    tile = tile_columns(min(a.shape[0], KERNEL_BLOCK_ROWS), rows_b)
+    if buffers is None:
+        buffers = _TileBuffers(height, tile, word_count, acc_dtype)
+    rows = a[start:stop]
+    for first in range(0, rows_b, tile):
+        last = min(first + tile, rows_b)
+        words, xor, count, acc = buffers.views(height, last - first)
+        np.copyto(words, b[first:last].T)
+        for word in range(word_count):
+            np.bitwise_xor(rows[:, word, None], words[word], out=xor)
+            if word == 0:
+                _popcount_into(xor, acc)
+            else:
+                _popcount_into(xor, count)
+                np.add(acc, count, out=acc)
+        out[start:stop, first:last] = acc
 
 
 def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
                           num_threads: int | None = None,
-                          executor=None) -> np.ndarray:
+                          executor=None,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise Hamming distances between two packed signature sets.
 
     Parameters
@@ -281,10 +349,10 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
         (default) defers to the ``REPRO_NUM_THREADS`` environment
         variable, keeping the kernel serial when that is unset; ``0``
         means one thread per CPU.  The threaded path splits ``rows_a``
-        into the same cache-sized blocks the serial path uses and runs
-        them on a shared thread pool -- the XOR and popcount ufuncs
-        release the GIL on blocks this large, so the blocks genuinely
-        overlap on multi-core machines.
+        into the same row blocks the serial path uses and runs them on a
+        shared thread pool -- the XOR and popcount ufuncs release the
+        GIL on blocks this large, so the blocks genuinely overlap on
+        multi-core machines.
     executor:
         Execution-plane engine: an engine name (``"inline"``,
         ``"threads"``, ``"processes"``) or an :class:`repro.exec.Executor`
@@ -295,18 +363,25 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
         legacy path, which is also what keeps process workers -- which
         inherit the environment across ``fork`` -- from re-entering the
         plane recursively.
+    out:
+        Optional ``(rows_a, rows_b)`` integer array to write the distances
+        into, as with a NumPy ufunc.  Its dtype must hold every count:
+        :func:`accumulator_dtype` (``uint16`` up to 1023 words) is the
+        narrowest, and skips the widening to ``int64``.
 
     Returns
     -------
     np.ndarray
-        ``(rows_a, rows_b)`` ``int64`` distance matrix, bit-exact against
-        the naive XOR-sum over the unpacked bits (all engines run the
-        same block body over disjoint output rows, so serial, threaded
-        and process results are identical bytes).
+        ``(rows_a, rows_b)`` distance matrix -- ``out`` when given, else a
+        new ``int64`` array -- bit-exact against the naive XOR-sum over
+        the unpacked bits (all engines run the same block body over
+        disjoint output rows, so serial, threaded and process results are
+        identical).
 
-    The kernel iterates over the (few) words and blocks over ``rows_a`` so
-    the XOR temporary stays cache-resident; distances accumulate in the
-    narrowest dtype that cannot overflow.
+    The kernel blocks ``rows_a`` into :data:`KERNEL_BLOCK_ROWS` rows and
+    tiles ``rows_b`` by :func:`tile_columns`, iterating over the (few)
+    words inside each tile so its temporaries stay cache-resident;
+    distances accumulate in the narrowest dtype that cannot overflow.
     """
     a = np.ascontiguousarray(a_packed, dtype=np.uint64)
     b = np.ascontiguousarray(b_packed, dtype=np.uint64)
@@ -318,14 +393,28 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
         )
     rows_a, word_count = a.shape
     rows_b = b.shape[0]
-    out = np.empty((rows_a, rows_b), dtype=np.int64)
+    acc_dtype = accumulator_dtype(word_count)
+    if out is not None:
+        if out.shape != (rows_a, rows_b):
+            raise ValueError(
+                f"out has shape {out.shape}, expected {(rows_a, rows_b)}")
+        if not np.can_cast(acc_dtype, out.dtype):
+            raise ValueError(
+                f"out dtype {out.dtype} cannot hold {word_count}-word "
+                f"counts; use {acc_dtype} or wider")
+    if rows_a and rows_b:
+        if executor is None and num_threads is None:
+            executor = os.environ.get(EXECUTOR_ENV, "").strip() or None
+        if executor is not None:
+            counts = _plane_executor(executor).hamming_blocked(a, b)
+            if out is None:
+                return counts
+            out[...] = counts
+            return out
+    if out is None:
+        out = np.empty((rows_a, rows_b), dtype=np.int64)
     if rows_a == 0 or rows_b == 0:
         return out
-    if executor is None and num_threads is None:
-        executor = os.environ.get(EXECUTOR_ENV, "").strip() or None
-    if executor is not None:
-        return _plane_executor(executor).hamming_blocked(a, b)
-    acc_dtype = _accumulator_dtype(word_count)
     workers = resolve_num_threads(num_threads)
 
     spans = [(start, min(start + KERNEL_BLOCK_ROWS, rows_a))
@@ -339,7 +428,9 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
             future.result()
         return out
 
-    xor_buffer = np.empty((min(KERNEL_BLOCK_ROWS, rows_a), rows_b), dtype=np.uint64)
+    height = spans[0][1] - spans[0][0]
+    buffers = _TileBuffers(height, tile_columns(height, rows_b), word_count,
+                           acc_dtype)
     for start, stop in spans:
-        _hamming_block(a, b, out, start, stop, acc_dtype, xor_buffer)
+        _hamming_block(a, b, out, start, stop, acc_dtype, buffers)
     return out

@@ -398,7 +398,7 @@ class CamArray:
         results without issuing a search.
 
         With the noise-free default sense amplifier the selection runs on
-        the raw mismatch counts (``argpartition`` over the count matrix) and
+        the raw mismatch counts (:func:`~repro.cam.topk.select_topk`) and
         only the ``k`` survivors are digitised -- noise-free read-out is an
         elementwise deterministic map, so this is bit-identical to
         digitise-everything-then-sort while skipping the full read-out

@@ -11,13 +11,15 @@ gather:
   between equidistant rows always break toward the lower global row id --
   the property that makes a sharded top-k bit-identical to a single-array
   full-sort regardless of shard count, placement policy or fan-out mode;
-* ``np.argpartition`` does the heavy lifting (O(n) per query instead of the
-  O(n log n) full sort), followed by one tiny sort of the k survivors.
+* the matrix is never sorted or keyed whole: the k-th smallest value of a
+  column prefix bounds every query's top-k from above, one vectorised
+  comparison filters the candidates down to those at or under the bound,
+  and only the survivors are keyed and sorted.
 
-The two are fused into one total order by encoding each candidate as a
-single ``int64`` key ``distance * (max_row_id + 1) + row_id``; distances are
-bounded by the word width and row ids by the cluster size, so the product
-stays far below 2**63 for any geometry this codebase builds.
+Survivors are fused into one total order by encoding each as a single
+``int64`` key ``distance * id_bound + row_id``; distances are bounded by
+the word width and row ids by the cluster size, so the product stays far
+below 2**63 for any geometry this codebase builds.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+#: Columns of the bound prefix per requested neighbour: the k-th smallest
+#: of ``k * BOUND_PREFIX_PER_K`` columns leaves about ``n / 2048`` survivors
+#: per query on uniform distances, while a partition that small stays cheap.
+BOUND_PREFIX_PER_K = 2048
 
 #: Read-out cost model of the result gather: each candidate value crossing
 #: the result bus costs one accelerator cycle.  A full gather moves every
@@ -100,7 +107,8 @@ def select_topk(values: np.ndarray, row_ids: np.ndarray, k: int,
     Parameters
     ----------
     values:
-        ``(batch, n)`` integer distances (raw mismatch counts or sensed).
+        ``(batch, n)`` non-negative integer distances (raw mismatch counts
+        or sensed), of any integer dtype.
     row_ids:
         Global row ids aligned with the columns of ``values`` -- either a
         shared ``(n,)`` vector or a per-query ``(batch, n)`` matrix.
@@ -112,7 +120,14 @@ def select_topk(values: np.ndarray, row_ids: np.ndarray, k: int,
     Returns
     -------
     (indices, distances):
-        ``(batch, k_eff)`` arrays sorted ascending by ``(value, row_id)``.
+        ``(batch, k_eff)`` ``int64`` arrays sorted ascending by
+        ``(value, row_id)``.
+
+    Exact by construction: the k-th smallest value among any ``k_eff`` or
+    more of a query's columns is at least its k-th smallest overall, so
+    every top-k member survives the ``values <= bound`` filter, and the
+    unique keys order the survivors totally.  Heavy ties only widen the
+    survivor set (all-equal rows keep every column).
     """
     matrix = np.asarray(values)
     if matrix.ndim != 2:
@@ -123,22 +138,19 @@ def select_topk(values: np.ndarray, row_ids: np.ndarray, k: int,
     if k_eff == 0:
         return (np.zeros((batch, 0), dtype=np.int64),
                 np.zeros((batch, 0), dtype=np.int64))
-    keys = combine_keys(matrix, ids, id_bound)
-    if k_eff < candidates:
-        picked = np.argpartition(keys, k_eff - 1, axis=1)[:, :k_eff]
-        picked_keys = np.take_along_axis(keys, picked, axis=1)
-    else:
-        picked = np.broadcast_to(np.arange(candidates, dtype=np.int64),
-                                 (batch, candidates))
-        picked_keys = keys
-    order = np.argsort(picked_keys, axis=1, kind="stable")
-    columns = np.take_along_axis(picked, order, axis=1)
-    if ids.ndim == 1:
-        indices = ids[columns]
-    else:
-        indices = np.take_along_axis(ids, columns, axis=1)
-    distances = np.take_along_axis(matrix, columns, axis=1).astype(np.int64)
-    return indices, distances
+    prefix = matrix[:, :min(candidates, k_eff * BOUND_PREFIX_PER_K)]
+    bound = np.partition(prefix, k_eff - 1, axis=1)[:, k_eff - 1]
+    rows, columns = np.divmod(np.flatnonzero(matrix <= bound[:, None]),
+                              candidates)
+    survivors = matrix[rows, columns]
+    survivor_ids = ids[columns] if ids.ndim == 1 else ids[rows, columns]
+    # Survivors arrive grouped by query (flatnonzero is row-major), each
+    # group holding at least k_eff of them; sort within groups by key.
+    order = np.lexsort((combine_keys(survivors, survivor_ids, id_bound),
+                        rows))
+    starts = np.searchsorted(rows, np.arange(batch))
+    picked = order[starts[:, None] + np.arange(k_eff)]
+    return survivor_ids[picked], survivors[picked].astype(np.int64)
 
 
 def encode_topk_rows(indices: np.ndarray, distances: np.ndarray) -> np.ndarray:

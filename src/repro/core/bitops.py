@@ -18,6 +18,7 @@ from repro.bitops import (
     POPCOUNT_LUT,
     WORD_BITS,
     WORD_BYTES,
+    accumulator_dtype,
     pack_bits,
     packed_hamming_matrix,
     packed_hamming_vector,
@@ -37,6 +38,7 @@ __all__ = [
     "POPCOUNT_LUT",
     "WORD_BITS",
     "WORD_BYTES",
+    "accumulator_dtype",
     "pack_bits",
     "packed_hamming_matrix",
     "packed_hamming_vector",

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.bitops import (
     KERNEL_BLOCK_ROWS,
-    _accumulator_dtype,
+    accumulator_dtype,
     _hamming_block,
     packed_hamming_matrix,
 )
@@ -88,19 +88,18 @@ def fill_block(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     (:func:`repro.bitops._hamming_block`), so every engine computes the
     exact bytes the unthreaded kernel would.
     """
-    _hamming_block(a, b, out, start, stop, _accumulator_dtype(a.shape[1]))
+    _hamming_block(a, b, out, start, stop, accumulator_dtype(a.shape[1]))
 
 
 def fill_span(a_block: np.ndarray, b: np.ndarray,
               out_span: np.ndarray) -> None:
-    """Fill a whole output span, chunked into cache-sized kernel blocks.
+    """Fill a whole output span, chunked into kernel row blocks.
 
     Process workers receive one contiguous span per worker (to bound the
     per-task pickle count); this walks it in :data:`KERNEL_BLOCK_ROWS`
-    steps so the XOR temporary stays cache-resident exactly as in the
-    serial kernel.
+    steps through the serial kernel's own (column-tiled) block body.
     """
-    acc_dtype = _accumulator_dtype(a_block.shape[1])
+    acc_dtype = accumulator_dtype(a_block.shape[1])
     for start, stop in kernel_spans(a_block.shape[0]):
         _hamming_block(a_block, b, out_span, start, stop, acc_dtype)
 

@@ -78,7 +78,8 @@ from repro.obs import current_span as _obs_current_span
 from repro.obs import default_registry as _default_metrics_registry
 from repro.obs import scoped_task as _obs_scoped_task
 
-from repro.bitops import EXECUTOR_ENV, pack_bits, packed_hamming_matrix, words_for_bits
+from repro.bitops import (EXECUTOR_ENV, accumulator_dtype, pack_bits,
+                          packed_hamming_matrix, words_for_bits)
 from repro.exec import (
     Executor,
     StorageHandle,
@@ -415,16 +416,24 @@ class ShardedCamPipeline:
 
     def _fused_counts(self, packed: np.ndarray,
                       storage: Union[np.ndarray, StorageHandle],
-                      plane: Optional[Executor]) -> np.ndarray:
+                      plane: Optional[Executor],
+                      narrow: bool = False) -> np.ndarray:
         """The fused kernel, spanned across the plane when one is configured.
 
         Splitting the *storage* rows (the long axis) into per-worker
         column blocks and concatenating is bit-identical to the single
         kernel call -- every count is an independent ``popcount(XOR)``
-        -- and parallelises even small query batches.
+        -- and parallelises even small query batches.  ``narrow`` keeps
+        the in-process kernel's counts in its accumulator dtype
+        (``uint16`` for any practical width) instead of widening them to
+        ``int64``; the plane's blocks are ``int64`` either way.
         """
         if plane is None:
-            return packed_hamming_matrix(packed, storage)
+            if not narrow:
+                return packed_hamming_matrix(packed, storage)
+            out = np.empty((packed.shape[0], storage.shape[0]),
+                           dtype=accumulator_dtype(packed.shape[1]))
+            return packed_hamming_matrix(packed, storage, out=out)
         data = storage.array if isinstance(storage, StorageHandle) else storage
         total = int(data.shape[0])
         spans = split_rows(total, plane.workers,
@@ -529,21 +538,21 @@ class ShardedCamPipeline:
         # The whole mutation runs under the state lock so it serialises
         # with _install: a rebalance either sees the write completed (and
         # rebuilds the new ports from it) or happens first (and the write
-        # lands in the new ports) -- never a torn mix.  The storage arrays
-        # are replaced copy-on-write, never mutated in place, so a fused
-        # search running on its snapshot always sees one consistent state.
+        # lands in the new ports) -- never a torn mix.  The unpacked bits
+        # are mutated in place: every reader copies its rows out under
+        # this lock.  The packed storage and populated mask are replaced
+        # copy-on-write, because searches read their snapshots without
+        # the lock and must always see one consistent state.
         with self._state_lock:
             ports, locks = self._ports, self._port_locks
             plan = self.plan
-            bits = self._bits.copy()
-            bits[start_row:stop] = matrix
+            self._bits[start_row:stop] = matrix
             packed_storage = self._packed.copy()
             packed_storage[start_row:stop] = pack_bits(
                 matrix.astype(np.uint8, copy=False))
             populated = self._populated.copy()
             populated[start_row:stop] = True
-            self._bits, self._packed, self._populated = (
-                bits, packed_storage, populated)
+            self._packed, self._populated = packed_storage, populated
             # Re-publish the plane storage copy-on-write: searches that
             # acquired the old handle keep reading the retired segment
             # until they release it, then its refcount frees it.
@@ -802,7 +811,8 @@ class ShardedCamPipeline:
         """
         num_queries = packed.shape[0]
         started = time.perf_counter()
-        counts = self._fused_counts(packed, packed_storage, plane)
+        counts = self._fused_counts(packed, packed_storage, plane,
+                                    narrow=True)
         if populated.all():
             row_ids = np.arange(self.rows, dtype=np.int64)
             candidates = counts

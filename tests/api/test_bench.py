@@ -83,6 +83,11 @@ class TestSuites:
         acceptance = summary["acceptance"]
         assert acceptance["workload"] == "rows=2048,k=128"
         assert acceptance["speedup"] > 0.0
+        # The retrieval-shaped cell is recorded on every run, never gated.
+        assert ("kernel/packed_popcount_narrow/queries=16,rows=131072,k=256"
+                in names)
+        assert summary["retrieval_cell"]["gated"] is False
+        assert summary["retrieval_cell"]["median_s"] > 0.0
 
     def test_e2e_suite_runs_quickly(self):
         records = e2e_benchmarks(quick=True, rounds=1)

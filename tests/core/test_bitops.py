@@ -7,6 +7,7 @@ import repro.bitops as bitops_impl
 from repro.core.bitops import (
     INT16_SAFE_MAX_BITS,
     POPCOUNT_LUT,
+    accumulator_dtype,
     pack_bits,
     packed_hamming_matrix,
     packed_hamming_vector,
@@ -250,3 +251,107 @@ class TestThreadedKernel:
         assert np.array_equal(
             packed_hamming_matrix(packed, packed, num_threads=4),
             naive_hamming(bits, bits))
+
+
+BACKENDS = [pytest.param(True, id="bitwise_count",
+                         marks=pytest.mark.skipif(
+                             not bitops_impl.HAVE_BITWISE_COUNT,
+                             reason="np.bitwise_count needs NumPy >= 2.0")),
+            pytest.param(False, id="lut")]
+
+
+class TestTiledKernel:
+    """Column tiling of the kernel and its narrow ``out=`` accumulator."""
+
+    @pytest.fixture
+    def small_tiles(self, monkeypatch):
+        # 5-row blocks and 7-column tiles, so tiny operands cross both.
+        monkeypatch.setattr(bitops_impl, "KERNEL_BLOCK_ROWS", 5)
+        monkeypatch.setattr(bitops_impl, "KERNEL_TILE_ELEMENTS", 35)
+        monkeypatch.setattr(bitops_impl, "KERNEL_MIN_TILE_COLUMNS", 7)
+        assert bitops_impl.tile_columns(5, 100) == 7
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("words", range(1, 18))
+    def test_matches_naive_across_tile_and_block_edges(
+            self, rng, monkeypatch, small_tiles, backend, words):
+        monkeypatch.setattr(bitops_impl, "HAVE_BITWISE_COUNT", backend)
+        bit_length = words * 64 - (words * 13) % 64  # rarely a multiple of 64
+        assert words_for_bits(bit_length) == words
+        bits_a = rng.integers(0, 2, size=(12, bit_length), dtype=np.uint8)
+        bits_b = rng.integers(0, 2, size=(23, bit_length), dtype=np.uint8)
+        expected = naive_hamming(bits_a, bits_b)
+        packed_a, packed_b = pack_bits(bits_a), pack_bits(bits_b)
+        assert np.array_equal(packed_hamming_matrix(packed_a, packed_b),
+                              expected)
+        narrow = np.empty(expected.shape, dtype=np.uint16)
+        assert packed_hamming_matrix(packed_a, packed_b, out=narrow) is narrow
+        assert np.array_equal(narrow, expected)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_default_tiles_on_a_long_operand(self, rng, monkeypatch, backend):
+        # rows_b spans two default-width tiles with a ragged tail.
+        monkeypatch.setattr(bitops_impl, "HAVE_BITWISE_COUNT", backend)
+        bits_a = rng.integers(0, 2, size=(16, 200), dtype=np.uint8)
+        bits_b = rng.integers(0, 2, size=(20000, 200), dtype=np.uint8)
+        assert bitops_impl.tile_columns(16, 20000) < 20000
+        result = packed_hamming_matrix(pack_bits(bits_a), pack_bits(bits_b))
+        for first in range(0, 20000, 2500):
+            chunk = slice(first, first + 2500)
+            assert np.array_equal(result[:, chunk],
+                                  naive_hamming(bits_a, bits_b[chunk]))
+
+    @pytest.mark.parametrize("workers", [None, 3])
+    def test_threaded_and_plane_paths_fill_out(self, rng, small_tiles,
+                                               workers):
+        bits_a = rng.integers(0, 2, size=(17, 130), dtype=np.uint8)
+        bits_b = rng.integers(0, 2, size=(30, 130), dtype=np.uint8)
+        expected = naive_hamming(bits_a, bits_b)
+        narrow = np.empty(expected.shape, dtype=np.uint16)
+        packed_hamming_matrix(pack_bits(bits_a), pack_bits(bits_b),
+                              num_threads=workers or 1, out=narrow)
+        assert np.array_equal(narrow, expected)
+        narrow[...] = 0
+        packed_hamming_matrix(pack_bits(bits_a), pack_bits(bits_b),
+                              executor="inline", out=narrow)
+        assert np.array_equal(narrow, expected)
+
+    def test_tile_width_comes_from_the_operand_shapes(self):
+        # Few queries against many rows tile; the CNN and classify shapes
+        # (at most 8192 columns) stay one tile.
+        assert bitops_impl.tile_columns(16, 131072) == 16384
+        assert bitops_impl.tile_columns(64, 8192) == 8192
+        assert bitops_impl.tile_columns(512, 2048) == 2048
+        assert bitops_impl.tile_columns(512, 131072) == 8192
+        assert bitops_impl.tile_columns(3, 5) == 5
+
+    def test_accumulator_dtype_boundary(self):
+        assert accumulator_dtype(1) == np.uint16
+        assert accumulator_dtype(1023) == np.uint16
+        assert accumulator_dtype(1024) == np.int64
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_narrow_counts_at_the_uint16_boundary(self, monkeypatch, backend):
+        # 1023 words is the widest uint16 accumulator: all-disagreeing rows
+        # count 65472, a few short of the dtype's maximum.
+        monkeypatch.setattr(bitops_impl, "HAVE_BITWISE_COUNT", backend)
+        ones = np.full((2, 1023), np.iinfo(np.uint64).max, dtype=np.uint64)
+        zeros = np.zeros((3, 1023), dtype=np.uint64)
+        narrow = np.empty((2, 3), dtype=np.uint16)
+        packed_hamming_matrix(ones, zeros, out=narrow)
+        assert narrow.dtype == np.uint16
+        assert np.all(narrow == 1023 * 64)
+        assert np.all(packed_hamming_matrix(ones, zeros) == 1023 * 64)
+
+    def test_out_must_hold_the_counts(self):
+        wide = np.zeros((1, 1024), dtype=np.uint64)
+        with pytest.raises(ValueError, match="cannot hold"):
+            packed_hamming_matrix(wide, wide,
+                                  out=np.empty((1, 1), dtype=np.uint16))
+        narrow = np.zeros((2, 4), dtype=np.uint64)
+        with pytest.raises(ValueError, match="shape"):
+            packed_hamming_matrix(narrow, narrow,
+                                  out=np.empty((2, 3), dtype=np.uint16))
+        with pytest.raises(ValueError, match="cannot hold"):
+            packed_hamming_matrix(narrow, narrow,
+                                  out=np.empty((2, 2), dtype=np.uint8))
