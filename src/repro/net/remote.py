@@ -13,16 +13,19 @@ network-transparent cluster:
   teaches it to the server on every write -- that is what makes the remote
   local top-k return global ids and the remote partial gather exact.
 * :class:`RemoteCamCluster` -- a :class:`ShardedCamPipeline` whose ports
-  are those transports.  Searches fan out per shard exactly as in-process
-  ``"ports"`` mode; what is new is the *failover loop* around every
-  per-shard call: a transport failure marks the replica dead in the
-  router, the call retries on a surviving replica, and -- when a
-  ``replacement_factory`` is configured -- the lost replica is
-  *re-replicated* from the pipeline-owned row storage (``self._bits``,
-  the same source of truth ``rebalance()`` rebuilds from) onto a fresh
-  endpoint, swapped into the replica slot and marked alive again.
-  Results stay bit-identical to the in-process cluster throughout: raw
-  counts merge and digitise exactly as before, whichever replica answers.
+  are those transports.  Searches, top-ks and writes run through the
+  pipeline's one fan-out exactly as in-process ``"ports"`` mode; the
+  cluster only overrides two hooks.  The per-port call seam becomes a
+  *failover loop*: a transport failure marks the replica dead in the
+  router, a search retries on a surviving replica, a write goes on to
+  the shard's other replicas, and -- when a ``replacement_factory`` is
+  configured -- the lost replica is *re-replicated* from the pipeline's
+  packed row words (the same single copy ``rebalance()`` rebuilds from)
+  onto a fresh endpoint, swapped into the replica slot and marked alive
+  again.  The local top-k hook asks the server for its candidates, so
+  only ``k`` values per shard cross the wire.  Results stay
+  bit-identical to the in-process cluster throughout: raw counts merge
+  and digitise exactly as before, whichever replica answers.
 * :class:`RemoteShardedEngine` -- the :class:`~repro.shard.engine.ShardedEngine`
   twin over a remote cluster, so a :class:`~repro.serve.server.MicroBatchServer`
   (or a serve-plane :class:`NetServer`) fronts the whole remote cluster
@@ -34,13 +37,10 @@ from __future__ import annotations
 
 import random
 import threading
-import time
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cam.topk import select_topk
 from repro.net import protocol
 from repro.net.transport import (
     HttpTransport,
@@ -49,8 +49,7 @@ from repro.net.transport import (
     Transport,
     TransportError,
 )
-from repro.obs import current_span, inject_headers, scoped_task
-from repro.serve.metrics import notify_all
+from repro.obs import inject_headers
 from repro.shard.engine import ShardedEngine
 from repro.shard.pipeline import ShardedCamPipeline
 from repro.shard.plan import ShardSpec
@@ -272,6 +271,8 @@ class RemoteCamCluster(ShardedCamPipeline):
         self._failovers = 0
         self._re_replications = 0
         self._repair_locks = [threading.Lock() for _ in grid]
+        # (shard, replica, port) slots the calling thread's write lost.
+        self._lost_writes = threading.local()
         super().__init__(total_rows=total_rows, word_bits=word_bits,
                          num_shards=len(grid), policy=policy,
                          num_replicas=replicas_per_shard, routing=routing,
@@ -284,26 +285,15 @@ class RemoteCamCluster(ShardedCamPipeline):
                    spec: ShardSpec) -> RemoteShardTransport:
         return RemoteShardTransport(
             base_url, global_rows=spec.global_rows,
-            id_bound=int(self._bits.shape[0]), word_bits=self.word_bits,
+            id_bound=self.rows, word_bits=self.word_bits,
             retry=self._shard_retry,
             connect_timeout_s=self._connect_timeout_s,
             read_timeout_s=self._read_timeout_s,
             transport_factory=self._transport_factory,
             use_frames=self._use_frames)
 
-    def _build_ports(self, plan: Any) -> List[List[Any]]:
-        """One transport per (shard, replica), loaded over the wire."""
-        ports: List[List[Any]] = []
-        for spec in plan.shards:
-            block = self._bits[spec.global_rows]
-            block_populated = self._populated[spec.global_rows]
-            replicas = []
-            for base_url in self._endpoints[spec.index]:
-                port = self._make_port(base_url, spec)
-                self._load_port(port, block, block_populated)
-                replicas.append(port)
-            ports.append(replicas)
-        return ports
+    def _new_port(self, spec: ShardSpec, replica: int) -> RemoteShardTransport:
+        return self._make_port(self._endpoints[spec.index][replica], spec)
 
     def add_shard(self) -> Any:
         raise NotImplementedError(
@@ -316,24 +306,50 @@ class RemoteCamCluster(ShardedCamPipeline):
             "a remote cluster's endpoint grid is its geometry; "
             "provision servers and build a new cluster to re-partition")
 
+    # -- writes ------------------------------------------------------------------
+
+    def write_rows(self, bits_matrix: np.ndarray, start_row: int = 0) -> float:
+        """Scatter a row block to every replica, surviving replica deaths.
+
+        A replica that fails the write is marked dead while the scatter
+        goes on to the others; the pipeline's packed words already hold
+        the rows, so once the state lock is released a
+        ``replacement_factory`` re-replicates the lost replica from them.
+        :class:`ShardUnavailableError` surfaces only when no replica of a
+        shard took the write.
+        """
+        self._lost_writes.slots = lost = []
+        energy = super().write_rows(bits_matrix, start_row)
+        unwritten: Dict[int, int] = {}
+        for shard, replica, port in lost:
+            if not self._repair(shard, replica, port):
+                unwritten[shard] = unwritten.get(shard, 0) + 1
+        dead = [shard for shard, count in unwritten.items()
+                if count == self._num_replicas]
+        if dead:
+            raise ShardUnavailableError(
+                f"no replica of shard(s) {dead} took the write")
+        return energy
+
     # -- failover ----------------------------------------------------------------
 
-    def _failover_call(self, shard: int, ports: List[List[Any]],
-                       locks: List[List[threading.Lock]], preferred: int,
-                       op: Callable[[Any], Any]) -> Tuple[Any, int]:
-        """Run one per-shard call, surviving replica deaths.
+    def _port_call(self, shard: int, replica: int, ports: List[List[Any]],
+                   locks: List[List[threading.Lock]], op: Callable[[Any], Any],
+                   failover: bool = True) -> Tuple[Any, int]:
+        """The failover call: run one per-port call, surviving replica deaths.
 
-        A :class:`TransportError` marks the replica dead, triggers an
-        inline repair (re-replication onto a fresh endpoint when a
-        replacement factory is configured) and retries -- on the repaired
-        replica or on any surviving one.  Only when every replica has
-        failed and repair is impossible does :class:`ShardUnavailableError`
-        surface; protocol-level errors (:class:`~repro.net.protocol.WireError`)
-        are never failover triggers -- a peer that answers wrongly is a
-        bug, not a dead node.
+        A :class:`TransportError` marks the replica dead.  Without
+        ``failover`` (a write) the slot is queued for repair once the
+        write completes and the call reports no energy.  Otherwise it
+        triggers an inline repair (re-replication onto a fresh endpoint
+        when a replacement factory is configured) and retries -- on the
+        repaired replica or on any surviving one.  Only when every replica
+        has failed and repair is impossible does
+        :class:`ShardUnavailableError` surface; protocol-level errors
+        (:class:`~repro.net.protocol.WireError`) are never failover
+        triggers -- a peer that answers wrongly is a bug, not a dead node.
         """
         tried: set = set()
-        replica = preferred
         last_error: Optional[Exception] = None
         # Bounded walk: every replica once, plus one repaired retry each.
         for _ in range(2 * self._num_replicas + 2):
@@ -342,14 +358,16 @@ class RemoteCamCluster(ShardedCamPipeline):
                 try:
                     with locks[shard][replica]:
                         # Re-read: a concurrent repair swaps ports in place.
-                        result = op(ports[shard][replica])
-                    return result, replica
+                        return op(ports[shard][replica]), replica
                 except TransportError as error:
                     last_error = error
                     tried.add(id(port))
                     self.router.mark_dead(shard, replica)
                     with self._net_lock:
                         self._failovers += 1
+                    if not failover:
+                        self._lost_writes.slots.append((shard, replica, port))
+                        return 0.0, replica
                     if self._repair(shard, replica, port):
                         continue  # the slot now holds a live port
             candidates = [index for index in range(self._num_replicas)
@@ -363,11 +381,13 @@ class RemoteCamCluster(ShardedCamPipeline):
             f"every replica of shard {shard} is unavailable: {last_error}")
 
     def _repair(self, shard: int, replica: int, failed_port: Any) -> bool:
-        """Re-replicate one lost replica from the pipeline-owned storage.
+        """Re-replicate one lost replica from the pipeline's packed words.
 
         Serialised per shard; a racer that arrives after the swap sees a
         different port in the slot and reports the router's verdict
-        instead of repairing twice.  Returns whether the slot is live.
+        instead of repairing twice.  A write that lands while the fresh
+        replica loads triggers a reload, so the swap never loses it.
+        Returns whether the slot is live.
         """
         if self._replacement_factory is None:
             return False
@@ -376,19 +396,22 @@ class RemoteCamCluster(ShardedCamPipeline):
                 if self._ports[shard][replica] is not failed_port:
                     return self.router.alive(shard, replica)
                 spec = self.plan.shards[shard]
-                block = self._bits[spec.global_rows]
-                block_populated = self._populated[spec.global_rows]
             try:
-                base_url = self._replacement_factory(shard)
-                port = self._make_port(base_url, spec)
-                self._load_port(port, block, block_populated)
+                port = self._make_port(self._replacement_factory(shard), spec)
+                while True:
+                    with self._state_lock:
+                        store, populated = self._packed, self._populated
+                    self._load_port(port, spec, store, populated)
+                    with self._state_lock:
+                        if self._packed is store:
+                            # In-place swap: snapshots share the nested
+                            # lists, so in-flight searches see the
+                            # repaired port immediately.
+                            self._ports[shard][replica] = port
+                            self._endpoints[shard][replica] = port.base_url
+                            break
             except TransportError:
                 return False
-            with self._state_lock:
-                # In-place swap: snapshots share the nested lists, so
-                # in-flight searches see the repaired port immediately.
-                self._ports[shard][replica] = port
-                self._endpoints[shard][replica] = port.base_url
             self.router.mark_alive(shard, replica)
             with self._net_lock:
                 self._re_replications += 1
@@ -398,72 +421,10 @@ class RemoteCamCluster(ShardedCamPipeline):
                 pass
             return True
 
-    # -- fan-out overrides -------------------------------------------------------
-
-    def _search_ports(self, packed: np.ndarray, plan: Any,
-                      ports: List[List[Any]],
-                      locks: List[List[threading.Lock]],
-                      plane: Any,
-                      selection: Tuple[int, ...]
-                      ) -> Tuple[np.ndarray, float, int]:
-        """The base per-port fan-out, each shard call behind the failover."""
-        num_queries = packed.shape[0]
-
-        def _search_one(shard: int) -> Tuple[np.ndarray, float, int]:
-            started = time.perf_counter()
-            (counts, energy, latency), replica = self._failover_call(
-                shard, ports, locks, selection[shard],
-                lambda port: port.mismatch_counts_packed(packed))
-            if self._observers:
-                notify_all(self._observers, "shard_search_completed",
-                           shard, replica, num_queries,
-                           (time.perf_counter() - started) * 1e3)
-            return counts, energy, latency
-
-        ambient = current_span()
-        results = plane.run_tasks(
-            [scoped_task(partial(_search_one, shard), ambient)
-             for shard in range(plan.num_shards)])
-        global_counts = np.empty((num_queries, self.rows), dtype=np.int64)
-        plan.gather_columns([counts for counts, _, _ in results],
-                            global_counts)
-        energy = float(sum(energy for _, energy, _ in results))
-        latency = max(latency for _, _, latency in results)
-        return global_counts, energy, latency
-
-    def _topk_ports(self, packed: np.ndarray, populated: np.ndarray,
-                    plan: Any, ports: List[List[Any]],
-                    locks: List[List[threading.Lock]], plane: Any,
-                    selection: Tuple[int, ...], k: int
-                    ) -> Tuple[np.ndarray, np.ndarray, float, int, int]:
-        """Remote partial gather: server-side local top-k, one exact merge."""
-        num_queries = packed.shape[0]
-
-        def _topk_one(shard: int
-                      ) -> Tuple[np.ndarray, np.ndarray, float, int]:
-            started = time.perf_counter()
-            (indices, raw, energy, latency), replica = self._failover_call(
-                shard, ports, locks, selection[shard],
-                lambda port: port.topk_candidates(packed, k))
-            if self._observers:
-                notify_all(self._observers, "shard_search_completed",
-                           shard, replica, num_queries,
-                           (time.perf_counter() - started) * 1e3)
-            return indices, raw, energy, latency
-
-        ambient = current_span()
-        results = plane.run_tasks(
-            [scoped_task(partial(_topk_one, shard), ambient)
-             for shard in range(plan.num_shards)])
-        candidate_ids = np.concatenate(
-            [indices for indices, _, _, _ in results], axis=1)
-        candidate_raw = np.concatenate(
-            [raw for _, raw, _, _ in results], axis=1)
-        gathered_per_query = int(candidate_ids.shape[1])
-        indices, raw = select_topk(candidate_raw, candidate_ids, k, self.rows)
-        energy = float(sum(energy for _, _, energy, _ in results))
-        latency = max(latency for _, _, _, latency in results)
-        return indices, raw, energy, latency, gathered_per_query
+    def _port_candidates(self, port: Any, packed: np.ndarray, k: int,
+                         spec: Any, populated: np.ndarray) -> tuple:
+        """The server-side local top-k: only ``k`` values cross the wire."""
+        return port.topk_candidates(packed, k)
 
     # -- health ------------------------------------------------------------------
 

@@ -25,42 +25,39 @@ sum over the selected per-shard searches -- shard occupancies sum to the
 total occupancy, so the total matches the single-array search energy --
 and latency is the maximum over the (parallel) shards.
 
-Two fan-out modes execute that contract:
+Every search -- ``search_batch_packed`` and ``topk_packed``, noisy or
+not -- takes its counts from one provider (``_fanout``) with two sources:
 
-* ``"fused"`` (default) -- the simulation observes that the shards search
-  *in parallel in O(1)* on real hardware, so simulating them as N separate
-  little kernels is pure overhead: the pipeline keeps a fused packed
-  storage matrix (all shards' rows, already in global row order) and runs
-  one vectorised XOR+popcount over it, while energy/latency are accounted
-  per selected shard replica analytically.  This is the same move the
-  single :class:`CamArray` already makes (one kernel for all rows instead
-  of per-cell circuits), applied one level up -- counts are bit-identical
+* **the packed store** -- the pipeline's packed ``(total_rows, words)``
+  matrix, already in global row order.  ``"fused"`` mode (the default)
+  splits it into worker spans, or runs one vectorised XOR+popcount when
+  no plane engine is configured: the shards search *in parallel in O(1)*
+  on real hardware, so simulating them as N little kernels is pure
+  overhead.  Under the ``processes`` engine, ``"ports"`` mode splits the
+  same store by shard selectors, read zero-copy from a SharedMemory
+  segment in worker processes.  Either way energy/latency are accounted
+  per selected shard replica analytically, and counts are bit-identical
   to the per-port path because XOR+popcount is row-wise.
-* ``"ports"`` -- hardware-faithful per-port execution: each selected
-  replica's array runs its own kernel and the results are gathered by the
-  plan.  Custom ports (e.g. :class:`~repro.cam.dynamic.DynamicCam`)
-  always use this path.
+* **the ports** -- hardware-faithful per-port execution: each selected
+  replica's array runs its own kernel through one per-port call seam,
+  fanned out on the :mod:`repro.exec` plane (``inline``, or ``threads``
+  sized by the worker budget).  Custom ports without the analytic
+  surface (e.g. :class:`~repro.cam.dynamic.DynamicCam`) always use this
+  source, and a remote cluster wraps the seam in failover.
 
-Both modes fan out on the :mod:`repro.exec` execution plane.  The
-``executor`` argument (or ``REPRO_EXECUTOR``) picks the engine: ``inline``
-runs everything serially, ``threads`` fans shard searches out on a thread
-pool sized by the worker budget (the pre-plane behaviour), and
-``processes`` reads the cluster's packed storage zero-copy from a
-SharedMemory segment in worker processes -- true parallelism on
-multi-core hosts where the GIL-bound thread pool stalls.  Under the
-process engine the per-shard kernels run against the *published global
-storage* sliced by each shard's rows (identical words to the port
-arrays, so counts are bit-identical) while energy/latency accrue
-parent-side through the ports' analytic surface; ports without that
-surface degrade to in-process execution, never to an error.
+A search gathers the counts once and digitises them once.  A top-k takes
+one global selection over store counts, or per-port local candidates and
+one merge; a noisy amplifier instead reuses the search counts (the full
+gather) and selects over the sensed distances.
 
-``add_shard()`` / ``rebalance()`` rebuild the plan and the port matrix
-online from the pipeline's own copy of the stored rows; results before and
-after are identical because the global row order never changes.  The
-packed storage itself is untouched by a rebalance, so the published
-segment (and the worker pool reading it) survives; only ``write_rows``
-re-publishes, copy-on-write, with in-flight searches pinning the retired
-segment via its refcount until they finish.
+The packed words are the only copy of the stored rows the pipeline owns.
+``add_shard()`` / ``rebalance()`` rebuild the plan and reload the port
+matrix online by unpacking just the populated runs of those words;
+results before and after are identical because the global row order
+never changes.  The packed storage itself is untouched by a rebalance,
+so the published segment (and the worker pool reading it) survives; only
+``write_rows`` re-publishes, copy-on-write, with in-flight searches
+pinning the retired segment via its refcount until they finish.
 """
 
 from __future__ import annotations
@@ -79,7 +76,7 @@ from repro.obs import default_registry as _default_metrics_registry
 from repro.obs import scoped_task as _obs_scoped_task
 
 from repro.bitops import (EXECUTOR_ENV, accumulator_dtype, pack_bits,
-                          packed_hamming_matrix, words_for_bits)
+                          packed_hamming_matrix, unpack_bits, words_for_bits)
 from repro.exec import (
     Executor,
     StorageHandle,
@@ -246,10 +243,9 @@ class ShardedCamPipeline:
         self._num_replicas = int(num_replicas)
         self._routing = routing
         self._observers: Tuple[Any, ...] = tuple(observers)
-        # The pipeline's own copy of the stored rows is the source of truth
-        # rebalance()/add_shard() rebuild the shard arrays from; its packed
-        # mirror (global row order) is the fused-mode search operand.
-        self._bits = np.zeros((int(total_rows), self.word_bits), dtype=np.uint8)
+        # The packed words (global row order) are the pipeline's only copy
+        # of the stored rows: the fused-mode search operand, and the source
+        # rebalance()/add_shard() and repairs reload ports from.
         self._packed = np.zeros(
             (int(total_rows), int(words_for_bits(self.word_bits))),
             dtype=np.uint64)
@@ -285,30 +281,31 @@ class ShardedCamPipeline:
 
     def _build_ports(self, plan: ShardPlan) -> List[List[Any]]:
         """One port per (shard, replica), loaded with the shard's rows."""
-        ports: List[List[Any]] = []
-        for spec in plan.shards:
-            block = self._bits[spec.global_rows]
-            block_populated = self._populated[spec.global_rows]
-            replicas = []
-            for _ in range(self._num_replicas):
-                port = self._port_factory(spec.rows)
-                self._load_port(port, block, block_populated)
-                replicas.append(port)
-            ports.append(replicas)
-        return ports
+        return [[self._load_port(self._new_port(spec, replica), spec,
+                                 self._packed, self._populated)
+                 for replica in range(self._num_replicas)]
+                for spec in plan.shards]
 
-    @staticmethod
-    def _load_port(port: Any, block: np.ndarray,
-                   block_populated: np.ndarray) -> None:
-        """Write the populated runs of one shard block into a fresh port."""
-        populated_locals = np.nonzero(block_populated)[0]
-        if populated_locals.size == 0:
-            return
-        # Write maximal contiguous runs so strided plans still use the
-        # vectorised bulk write.
-        breaks = np.nonzero(np.diff(populated_locals) != 1)[0] + 1
-        for run in np.split(populated_locals, breaks):
-            port.write_rows(block[run], start_row=int(run[0]))
+    def _new_port(self, spec: Any, replica: int) -> Any:
+        """An empty port for one (shard, replica) slot."""
+        return self._port_factory(spec.rows)
+
+    def _load_port(self, port: Any, spec: Any, store: np.ndarray,
+                   populated: np.ndarray) -> Any:
+        """Load a fresh port with its shard's populated rows; returns it.
+
+        Only the populated rows are unpacked from the packed ``store``, one
+        maximal contiguous run at a time, so strided plans still use the
+        vectorised bulk write.
+        """
+        local = np.flatnonzero(populated[spec.global_rows])
+        if local.size:
+            breaks = np.flatnonzero(np.diff(local) != 1) + 1
+            for run in np.split(local, breaks):
+                port.write_rows(
+                    unpack_bits(store[spec.global_rows[run]], self.word_bits),
+                    start_row=int(run[0]))
+        return port
 
     def _install(self, plan: ShardPlan) -> None:
         """Build and atomically swap in the structure for ``plan``.
@@ -452,7 +449,7 @@ class ShardedCamPipeline:
                   policy: Optional[str] = None) -> ShardPlan:
         """Re-partition the rows online; results are unchanged.
 
-        Rebuilds every shard array from the pipeline's stored rows under
+        Reloads every shard array from the pipeline's packed words under
         the new geometry.  In-flight searches finish on the retired ports
         (their contents are identical), and accounting is unaffected
         because the pipeline accrues it from returned values.
@@ -500,7 +497,7 @@ class ShardedCamPipeline:
     @property
     def rows(self) -> int:
         """Global row capacity of the cluster."""
-        return int(self._bits.shape[0])
+        return int(self._packed.shape[0])
 
     @property
     def num_shards(self) -> int:
@@ -538,15 +535,13 @@ class ShardedCamPipeline:
         # The whole mutation runs under the state lock so it serialises
         # with _install: a rebalance either sees the write completed (and
         # rebuilds the new ports from it) or happens first (and the write
-        # lands in the new ports) -- never a torn mix.  The unpacked bits
-        # are mutated in place: every reader copies its rows out under
-        # this lock.  The packed storage and populated mask are replaced
-        # copy-on-write, because searches read their snapshots without
-        # the lock and must always see one consistent state.
+        # lands in the new ports) -- never a torn mix.  The packed storage
+        # and populated mask are replaced copy-on-write, because searches
+        # and repairs read their snapshots without the lock and must always
+        # see one consistent state.
         with self._state_lock:
             ports, locks = self._ports, self._port_locks
             plan = self.plan
-            self._bits[start_row:stop] = matrix
             packed_storage = self._packed.copy()
             packed_storage[start_row:stop] = pack_bits(
                 matrix.astype(np.uint8, copy=False))
@@ -568,13 +563,16 @@ class ShardedCamPipeline:
                     continue
                 block = matrix[spec.global_rows[mask] - start_row]
                 breaks = np.nonzero(np.diff(locals_hit) != 1)[0] + 1
+                runs = list(zip(np.split(locals_hit, breaks),
+                                np.split(block, breaks)))
+
+                def write(port: Any, runs=runs) -> float:
+                    return sum(port.write_rows(rows, start_row=int(run[0]))
+                               for run, rows in runs)
+
                 for replica in range(self._num_replicas):
-                    with locks[spec.index][replica]:
-                        for run in np.split(locals_hit, breaks):
-                            offset = int(np.searchsorted(locals_hit, run[0]))
-                            energy += ports[spec.index][replica].write_rows(
-                                block[offset:offset + run.size],
-                                start_row=int(run[0]))
+                    energy += self._port_call(spec.index, replica, ports,
+                                              locks, write, failover=False)[0]
         with self._accounting_lock:
             self._write_energy_pj += energy
         return energy
@@ -611,62 +609,13 @@ class ShardedCamPipeline:
         num_queries = packed.shape[0]
         if num_queries == 0:
             return np.full((0, self.rows), -1, dtype=np.int64), 0.0, 0
-        expected_words = self._packed.shape[1]
-        if packed.shape[1] != expected_words:
-            raise ValueError(
-                f"packed queries must have {expected_words} words, "
-                f"got {packed.shape[1]}")
-        with self._state_lock:
-            plan, ports, locks = self.plan, self._ports, self._port_locks
-            router, fanout = self.router, self.fanout
-            plane, handle, shared = self._snapshot_plane_locked(fanout)
-            # Copy-on-write snapshots: write_rows swaps whole arrays, so
-            # these stay internally consistent for the rest of the search.
-            packed_storage, populated = self._packed, self._populated
-        selection = router.begin_search()
-        _count_fanout(fanout, num_queries)
-        try:
-            with _traced_stage("fanout", mode=fanout,
-                               shards=plan.num_shards, queries=num_queries,
-                               executor=getattr(plane, "name", "inline")):
-                if fanout == "fused":
-                    global_counts, energy, latency = self._search_fused(
-                        packed,
-                        handle if handle is not None else packed_storage,
-                        plan, ports, selection, plane)
-                elif shared:
-                    global_counts, energy, latency = self._search_ports_shared(
-                        packed, plan, ports, locks, selection, plane, handle)
-                else:
-                    global_counts, energy, latency = self._search_ports(
-                        packed, plan, ports, locks, plane, selection)
-        finally:
-            router.end_search(selection)
-            if handle is not None:
-                handle.release()
-
+        self._check_words(packed)
+        counts, populated, energy, latency, _ = self._fanout(packed)
         distances = np.full((num_queries, self.rows), -1, dtype=np.int64)
         if populated.any():
             with _traced_stage("gather", rows=int(self.rows)):
-                flat_counts = global_counts[:, populated].reshape(-1)
-            # One global digitisation pass in global row order -- the same
-            # flat stream a single array would sense, so a (seeded) noisy
-            # amplifier consumes its noise identically.  Only a *noisy*
-            # amplifier has RNG state to keep race-free; the noise-free
-            # default digitises lock-free so concurrent replica searches
-            # never serialise on the O(batch x rows) pass.
-            noisy = getattr(self.sense_amp, "timing_noise_sigma_ps", 0.0) > 0
-            with _traced_stage("digitise", values=int(flat_counts.size)):
-                if noisy:
-                    with self._accounting_lock:
-                        sensed = self.sense_amp.estimate_distances(flat_counts)
-                else:
-                    sensed = self.sense_amp.estimate_distances(flat_counts)
-                distances[:, populated] = sensed.reshape(num_queries, -1)
-        with self._accounting_lock:
-            self._search_energy_pj += energy
-            self._search_count += num_queries * plan.num_shards
-            self._batches += 1
+                gathered = counts[:, populated]
+            distances[:, populated] = self._digitise(gathered)
         return distances, energy, latency
 
     def topk_packed(self, packed_queries: np.ndarray, k: int) -> TopKResult:
@@ -705,81 +654,21 @@ class ShardedCamPipeline:
         k_eff = min(k, self.occupancy)
         if num_queries == 0 or k_eff == 0:
             return empty_topk(num_queries, k_eff)
-        expected_words = self._packed.shape[1]
-        if packed.shape[1] != expected_words:
-            raise ValueError(
-                f"packed queries must have {expected_words} words, "
-                f"got {packed.shape[1]}")
-        with self._state_lock:
-            plan, ports, locks = self.plan, self._ports, self._port_locks
-            router, fanout = self.router, self.fanout
-            plane, handle, shared = self._snapshot_plane_locked(fanout)
-            packed_storage, populated = self._packed, self._populated
-        fused_storage = handle if handle is not None else packed_storage
-        noisy = getattr(self.sense_amp, "timing_noise_sigma_ps", 0.0) > 0
-        selection = router.begin_search()
-        _count_fanout(f"topk_{fanout}", num_queries)
-        try:
-            fanout_stage = partial(
-                _traced_stage, "fanout", mode=fanout, k=int(k),
-                shards=plan.num_shards, queries=num_queries,
-                executor=getattr(plane, "name", "inline"))
-            if noisy:
-                # Full gather: digitise every populated row in global row
-                # order (the same flat stream search_batch_packed feeds the
-                # amplifier), then select over the sensed distances.
-                with fanout_stage():
-                    if fanout == "fused":
-                        counts, energy, latency = self._search_fused(
-                            packed, fused_storage, plan, ports, selection,
-                            plane)
-                    elif shared:
-                        counts, energy, latency = self._search_ports_shared(
-                            packed, plan, ports, locks, selection, plane,
-                            handle)
-                    else:
-                        counts, energy, latency = self._search_ports(
-                            packed, plan, ports, locks, plane, selection)
-                row_ids = np.nonzero(populated)[0].astype(np.int64)
-                with _traced_stage("digitise", values=int(
-                        num_queries * row_ids.size)):
-                    with self._accounting_lock:
-                        sensed = self.sense_amp.estimate_distances(
-                            counts[:, populated].reshape(-1))
-                    sensed = np.asarray(sensed, dtype=np.int64).reshape(
-                        num_queries, -1)
-                with _traced_stage("gather", values=int(
-                        num_queries * row_ids.size)):
-                    indices, distances = select_topk(sensed, row_ids, k_eff,
-                                                     self.rows)
-                gathered_per_query = int(row_ids.size)
-            elif fanout == "fused":
-                with fanout_stage():
-                    indices, raw, energy, latency, gathered_per_query = (
-                        self._topk_fused(packed, fused_storage, populated,
-                                         plan, ports, selection, k, plane))
-                distances = self._digitise_selected(raw)
-            elif shared:
-                with fanout_stage():
-                    indices, raw, energy, latency, gathered_per_query = (
-                        self._topk_ports_shared(packed, populated, plan,
-                                                ports, locks, selection,
-                                                plane, handle, k))
-                distances = self._digitise_selected(raw)
-            else:
-                with fanout_stage():
-                    indices, raw, energy, latency, gathered_per_query = (
-                        self._topk_ports(packed, populated, plan, ports,
-                                         locks, plane, selection, k))
-                distances = self._digitise_selected(raw)
-        finally:
-            router.end_search(selection)
-            if handle is not None:
-                handle.release()
-        with self._accounting_lock:
-            self._search_energy_pj += energy
-            self._search_count += num_queries * plan.num_shards
-            self._batches += 1
+        self._check_words(packed)
+        if getattr(self.sense_amp, "timing_noise_sigma_ps", 0.0) > 0:
+            # Full gather: digitise every populated row in global row order
+            # (the same flat stream search_batch_packed senses), then
+            # select over the sensed distances.
+            counts, populated, energy, latency, _ = self._fanout(packed, k)
+            sensed = self._digitise(counts[:, populated])
+            with _traced_stage("gather", values=int(sensed.size)):
+                indices, distances = select_topk(
+                    sensed, np.flatnonzero(populated), k_eff, self.rows)
+            gathered_per_query = int(sensed.shape[1])
+        else:
+            (indices, raw), _, energy, latency, gathered_per_query = (
+                self._fanout(packed, k, select=True))
+            distances = self._digitise(raw)
         gathered = num_queries * gathered_per_query
         return TopKResult(
             indices=indices,
@@ -789,246 +678,190 @@ class ShardedCamPipeline:
             gathered_values=gathered,
         )
 
-    def _digitise_selected(self, raw: np.ndarray) -> np.ndarray:
-        """Noise-free elementwise read-out of the merged survivors only."""
-        with _traced_stage("digitise", values=int(raw.size)):
-            return np.asarray(
-                self.sense_amp.estimate_distances(raw.reshape(-1)),
-                dtype=np.int64).reshape(raw.shape)
+    def _check_words(self, packed: np.ndarray) -> None:
+        expected_words = self._packed.shape[1]
+        if packed.shape[1] != expected_words:
+            raise ValueError(
+                f"packed queries must have {expected_words} words, "
+                f"got {packed.shape[1]}")
 
-    def _topk_fused(self, packed: np.ndarray,
-                    packed_storage: Union[np.ndarray, StorageHandle],
-                    populated: np.ndarray, plan: ShardPlan,
-                    ports: List[List[Any]], selection: Tuple[int, ...],
-                    k: int, plane: Optional[Executor] = None,
-                    ) -> tuple[np.ndarray, np.ndarray, float, int, int]:
-        """One vectorised kernel, then one global selection on raw counts.
+    def _digitise(self, counts: np.ndarray) -> np.ndarray:
+        """The cluster sense amplifier over a count block, in row-major order.
 
-        The fused storage is already in global row order, so the global
-        top-k equals the merge of per-shard top-ks; the gather accounting
-        still reports the per-shard candidate traffic (``min(k, shard
-        occupancy)`` values per shard per query) the hardware would move.
+        Only a *noisy* amplifier has RNG state to keep race-free; the
+        noise-free default digitises lock-free so concurrent replica
+        searches never serialise on the O(batch x rows) pass.
         """
-        num_queries = packed.shape[0]
-        started = time.perf_counter()
-        counts = self._fused_counts(packed, packed_storage, plane,
-                                    narrow=True)
-        if populated.all():
-            row_ids = np.arange(self.rows, dtype=np.int64)
-            candidates = counts
-        else:
-            row_ids = np.nonzero(populated)[0].astype(np.int64)
-            candidates = counts[:, populated]
-        indices, raw = select_topk(candidates, row_ids, k, self.rows)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        energy = 0.0
-        latency = 0
-        gathered_per_query = 0
-        for shard in range(plan.num_shards):
-            port = ports[shard][selection[shard]]
-            energy += num_queries * port.search_energy_pj()
-            latency = max(latency, num_queries * port.search_latency_cycles)
-            shard_occupancy = int(
-                np.count_nonzero(populated[plan.shards[shard].global_rows]))
-            gathered_per_query += min(k, shard_occupancy)
-        if self._observers:
-            for shard in range(plan.num_shards):
-                notify_all(self._observers, "shard_search_completed",
-                           shard, selection[shard], num_queries, elapsed_ms)
-        return indices, raw, energy, latency, gathered_per_query
+        noisy = getattr(self.sense_amp, "timing_noise_sigma_ps", 0.0) > 0
+        with _traced_stage("digitise", values=int(counts.size)):
+            with self._accounting_lock if noisy else nullcontext():
+                sensed = self.sense_amp.estimate_distances(counts.reshape(-1))
+        return np.asarray(sensed, dtype=np.int64).reshape(counts.shape)
 
-    def _topk_ports(self, packed: np.ndarray, populated: np.ndarray,
-                    plan: ShardPlan, ports: List[List[Any]],
-                    locks: List[List[threading.Lock]],
-                    plane: Executor, selection: Tuple[int, ...],
-                    k: int) -> tuple[np.ndarray, np.ndarray, float, int, int]:
-        """Hardware-faithful partial gather: local top-k per port, one merge.
+    def _fanout(self, packed: np.ndarray, k: Optional[int] = None,
+                select: bool = False) -> tuple:
+        """The one count provider behind every search.
 
-        Each selected replica runs its own kernel and ships only its local
-        ``min(k, occupancy)`` best ``(count, global row id)`` candidates;
-        the merge selects the global top-k over the ``k x shards`` candidate
-        matrix.  Because every key carries its global row id, the merged
-        order is identical to a single array's selection.
+        Snapshots the structure, picks one replica per shard and takes raw
+        mismatch counts from one of two sources:
+
+        * **the packed store** -- fused mode splits it into worker spans
+          (or runs one kernel when no plane is configured); the process
+          engine's analytic ports split it by shard selectors.  Energy and
+          latency accrue analytically per selected port.
+        * **the ports** -- every selected port runs its own kernel through
+          :meth:`_port_call`, the per-port seam a remote cluster wraps in
+          failover.
+
+        Without ``select`` the answer is the ``(queries, total_rows)``
+        count matrix in global row order (``k`` then only labels the
+        fan-out as a top-k: the noisy full gather).  With ``select`` it is
+        the exact top-``k`` ``(indices, raw counts)``: one global selection
+        over store counts, or per-port candidates
+        (:meth:`_port_candidates`) and one merge over the port answers.
+        Returns ``(answer, populated, energy, latency,
+        gathered_per_query)``; ``populated`` is the snapshot the counts
+        belong to.
         """
+        with self._state_lock:
+            plan, ports, locks = self.plan, self._ports, self._port_locks
+            router, fanout = self.router, self.fanout
+            plane, handle, shared = self._snapshot_plane_locked(fanout)
+            # Copy-on-write snapshots: write_rows swaps whole arrays, so
+            # these stay internally consistent for the rest of the search.
+            store, populated = self._packed, self._populated
         num_queries = packed.shape[0]
+        labels: Dict[str, Any] = {"mode": fanout}
+        if k is not None:
+            labels["k"] = int(k)
+        _count_fanout(fanout if k is None else f"topk_{fanout}", num_queries)
+        selection = router.begin_search()
+        try:
+            with _traced_stage("fanout", **labels, shards=plan.num_shards,
+                               queries=num_queries,
+                               executor=getattr(plane, "name", "inline")):
+                if fanout == "fused" or shared:
+                    answers = None
+                    started = time.perf_counter()
+                    if fanout == "fused":
+                        counts = self._fused_counts(
+                            packed, handle if handle is not None else store,
+                            plane, narrow=select)
+                    else:
+                        counts = plan.gather_columns(
+                            plane.hamming_fanout(
+                                packed, handle,
+                                [self._shard_selector(spec)
+                                 for spec in plan.shards]),
+                            np.empty((num_queries, self.rows), dtype=np.int64))
+                    elapsed_ms = (time.perf_counter() - started) * 1e3
+                    costs = []
+                    for shard, replica in enumerate(selection):
+                        port = ports[shard][replica]
+                        if shared:
+                            with locks[shard][replica]:
+                                costs.append(
+                                    port.account_packed_search(num_queries))
+                        else:
+                            costs.append(
+                                (num_queries * port.search_energy_pj(),
+                                 num_queries * port.search_latency_cycles))
+                        if self._observers:
+                            notify_all(self._observers,
+                                       "shard_search_completed", shard,
+                                       replica, num_queries, elapsed_ms)
+                else:
+                    # Pool threads don't inherit this thread's ambient trace
+                    # scope; scoped_task re-establishes it so the events
+                    # the tasks emit still find their fanout parent.
+                    def _port_task(shard: int) -> tuple:
+                        spec, started = plan.shards[shard], time.perf_counter()
+                        op = (partial(self._port_candidates, packed=packed,
+                                      k=k, spec=spec, populated=populated)
+                              if select else
+                              lambda port: port.mismatch_counts_packed(packed))
+                        (*answer, cost, latency), replica = self._port_call(
+                            shard, selection[shard], ports, locks, op)
+                        if self._observers:
+                            notify_all(self._observers,
+                                       "shard_search_completed", shard,
+                                       replica, num_queries,
+                                       (time.perf_counter() - started) * 1e3)
+                        return answer, (cost, latency)
 
-        def _topk_one(shard: int) -> tuple[np.ndarray, np.ndarray, float, int]:
-            spec = plan.shards[shard]
-            replica = selection[shard]
-            started = time.perf_counter()
-            with locks[shard][replica]:
-                counts, energy, latency = (
-                    ports[shard][replica].mismatch_counts_packed(packed))
-            local_populated = populated[spec.global_rows]
-            local_ids = spec.global_rows[local_populated]
-            local_indices, local_raw = select_topk(
-                counts[:, local_populated], local_ids, k, self.rows)
-            if self._observers:
-                notify_all(self._observers, "shard_search_completed",
-                           shard, replica, num_queries,
-                           (time.perf_counter() - started) * 1e3)
-            return local_indices, local_raw, energy, latency
+                    ambient = _obs_current_span()
+                    results = plane.run_tasks(
+                        [_obs_scoped_task(partial(_port_task, shard), ambient)
+                         for shard in range(plan.num_shards)])
+                    answers = [answer for answer, _ in results]
+                    costs = [cost for _, cost in results]
+                    if not select:
+                        counts = plan.gather_columns(
+                            [answer[0] for answer in answers],
+                            np.empty((num_queries, self.rows), dtype=np.int64))
+                energy = float(sum(cost for cost, _ in costs))
+                latency = max(latency for _, latency in costs)
+                gathered_per_query = 0
+                if not select:
+                    answer = counts
+                elif answers is None:
+                    # The store is in global row order: the global top-k
+                    # over it equals the merge of per-shard top-ks, while
+                    # the gather accounting still reports the per-shard
+                    # candidate traffic the hardware would move.
+                    candidates = (counts if populated.all()
+                                  else counts[:, populated])
+                    answer = select_topk(
+                        candidates, np.flatnonzero(populated), k, self.rows)
+                    gathered_per_query = sum(
+                        min(k, int(np.count_nonzero(
+                            populated[spec.global_rows])))
+                        for spec in plan.shards)
+                else:
+                    with _traced_stage("gather", shards=len(answers)):
+                        candidate_ids = np.concatenate(
+                            [ids for ids, _ in answers], axis=1)
+                        answer = select_topk(
+                            np.concatenate([raw for _, raw in answers], axis=1),
+                            candidate_ids, k, self.rows)
+                    gathered_per_query = int(candidate_ids.shape[1])
+        finally:
+            router.end_search(selection)
+            if handle is not None:
+                handle.release()
+        with self._accounting_lock:
+            self._search_energy_pj += energy
+            self._search_count += num_queries * plan.num_shards
+            self._batches += 1
+        return answer, populated, energy, latency, gathered_per_query
 
-        # Pool threads don't inherit this thread's ambient trace scope;
-        # scoped_task re-establishes it so the shard_search_completed
-        # events the tasks emit still find their fanout parent.
-        ambient = _obs_current_span()
-        results = plane.run_tasks(
-            [_obs_scoped_task(partial(_topk_one, shard), ambient)
-             for shard in range(plan.num_shards)])
-        return self._merge_topk_candidates(results, k)
+    def _port_call(self, shard: int, replica: int, ports: List[List[Any]],
+                   locks: List[List[threading.Lock]], op: Callable[[Any], Any],
+                   failover: bool = True) -> Tuple[Any, int]:
+        """Run ``op`` on one port under its lock: the per-port seam.
 
-    def _topk_ports_shared(self, packed: np.ndarray, populated: np.ndarray,
-                           plan: ShardPlan, ports: List[List[Any]],
-                           locks: List[List[threading.Lock]],
-                           selection: Tuple[int, ...], plane: Executor,
-                           handle: StorageHandle,
-                           k: int) -> tuple[np.ndarray, np.ndarray, float, int, int]:
-        """Partial gather on the process engine: shared counts, local merges.
-
-        Workers compute each shard's count block from the published global
-        storage (the same words the port arrays hold, so the counts are
-        bit-identical); the local top-k selections, the merge and the
-        analytic accounting all stay parent-side.
+        Every port call -- search, top-k and write -- goes through here.
+        Returns ``(result, replica)``, the replica that answered.  An
+        in-process port always answers itself; a remote cluster overrides
+        this seam to survive replica deaths, failing over to another
+        replica of the shard unless ``failover`` is off (writes mirror to
+        every replica, so each must land on its own).
         """
-        num_queries = packed.shape[0]
-        selectors = [self._shard_selector(spec) for spec in plan.shards]
-        started = time.perf_counter()
-        blocks = plane.hamming_fanout(packed, handle, selectors)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        results = []
-        for shard in range(plan.num_shards):
-            spec = plan.shards[shard]
-            replica = selection[shard]
-            with locks[shard][replica]:
-                energy, latency = (
-                    ports[shard][replica].account_packed_search(num_queries))
-            local_populated = populated[spec.global_rows]
-            local_ids = spec.global_rows[local_populated]
-            local_indices, local_raw = select_topk(
-                blocks[shard][:, local_populated], local_ids, k, self.rows)
-            if self._observers:
-                notify_all(self._observers, "shard_search_completed",
-                           shard, replica, num_queries, elapsed_ms)
-            results.append((local_indices, local_raw, energy, latency))
-        return self._merge_topk_candidates(results, k)
+        with locks[shard][replica]:
+            return op(ports[shard][replica]), replica
 
-    def _merge_topk_candidates(
-            self, results: List[tuple], k: int,
-    ) -> tuple[np.ndarray, np.ndarray, float, int, int]:
-        """Merge per-shard ``(indices, raw, energy, latency)`` candidates."""
-        with _traced_stage("gather", shards=len(results)):
-            candidate_ids = np.concatenate(
-                [indices for indices, _, _, _ in results], axis=1)
-            candidate_raw = np.concatenate(
-                [raw for _, raw, _, _ in results], axis=1)
-            gathered_per_query = int(candidate_ids.shape[1])
-            indices, raw = select_topk(candidate_raw, candidate_ids, k,
-                                       self.rows)
-        energy = float(sum(energy for _, _, energy, _ in results))
-        latency = max(latency for _, _, _, latency in results)
-        return indices, raw, energy, latency, gathered_per_query
+    def _port_candidates(self, port: Any, packed: np.ndarray, k: int,
+                         spec: Any, populated: np.ndarray) -> tuple:
+        """One port's local top-k: ``(global ids, raw, energy, latency)``.
 
-    def _search_fused(self, packed: np.ndarray,
-                      packed_storage: Union[np.ndarray, StorageHandle],
-                      plan: ShardPlan, ports: List[List[Any]],
-                      selection: Tuple[int, ...],
-                      plane: Optional[Executor] = None,
-                      ) -> tuple[np.ndarray, float, int]:
-        """One vectorised kernel over the fused storage; analytic accounting.
-
-        The fused storage rows are already in global order, so the kernel's
-        output *is* the gathered count matrix.  Every shard reports the
-        shared pass duration in its ``shard_search_completed`` event -- on
-        hardware the shards genuinely run concurrently.
+        Each key carries its global row id, so merging the per-port
+        candidates yields exactly a single array's selection.
         """
-        num_queries = packed.shape[0]
-        started = time.perf_counter()
-        counts = self._fused_counts(packed, packed_storage, plane)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        energy = 0.0
-        latency = 0
-        for shard in range(plan.num_shards):
-            port = ports[shard][selection[shard]]
-            energy += num_queries * port.search_energy_pj()
-            latency = max(latency, num_queries * port.search_latency_cycles)
-        if self._observers:
-            for shard in range(plan.num_shards):
-                notify_all(self._observers, "shard_search_completed",
-                           shard, selection[shard], num_queries, elapsed_ms)
-        return counts, energy, latency
-
-    def _search_ports(self, packed: np.ndarray, plan: ShardPlan,
-                      ports: List[List[Any]], locks: List[List[threading.Lock]],
-                      plane: Executor,
-                      selection: Tuple[int, ...]) -> tuple[np.ndarray, float, int]:
-        """Hardware-faithful per-port execution, gathered by the plan.
-
-        The port objects run their own kernels (in-process -- the thread
-        engine overlaps them where NumPy releases the GIL; the process
-        engine lands here only for ports without the analytic surface and
-        then runs them serially, a documented degradation).
-        """
-        num_queries = packed.shape[0]
-
-        def _search_one(shard: int) -> tuple[np.ndarray, float, int]:
-            replica = selection[shard]
-            started = time.perf_counter()
-            with locks[shard][replica]:
-                counts, energy, latency = (
-                    ports[shard][replica].mismatch_counts_packed(packed))
-            if self._observers:
-                notify_all(self._observers, "shard_search_completed",
-                           shard, replica, num_queries,
-                           (time.perf_counter() - started) * 1e3)
-            return counts, energy, latency
-
-        ambient = _obs_current_span()  # re-established on the pool threads
-        results = plane.run_tasks(
-            [_obs_scoped_task(partial(_search_one, shard), ambient)
-             for shard in range(plan.num_shards)])
-
-        global_counts = np.empty((num_queries, self.rows), dtype=np.int64)
-        plan.gather_columns([counts for counts, _, _ in results], global_counts)
-        energy = float(sum(energy for _, energy, _ in results))
-        latency = max(latency for _, _, latency in results)
-        return global_counts, energy, latency
-
-    def _search_ports_shared(self, packed: np.ndarray, plan: ShardPlan,
-                             ports: List[List[Any]],
-                             locks: List[List[threading.Lock]],
-                             selection: Tuple[int, ...], plane: Executor,
-                             handle: StorageHandle,
-                             ) -> tuple[np.ndarray, float, int]:
-        """Process-engine ports fan-out over the published global storage.
-
-        Workers slice the shared segment by each shard's rows -- exactly
-        the words that shard's port array holds (unpopulated rows are
-        zero both ways), so the counts are bit-identical to the object
-        path -- while energy/latency accrue parent-side through the
-        ports' analytic surface, keeping every port's own counters
-        consistent with an in-array search.
-        """
-        num_queries = packed.shape[0]
-        selectors = [self._shard_selector(spec) for spec in plan.shards]
-        started = time.perf_counter()
-        blocks = plane.hamming_fanout(packed, handle, selectors)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        energy = 0.0
-        latency = 0
-        for shard in range(plan.num_shards):
-            replica = selection[shard]
-            with locks[shard][replica]:
-                shard_energy, shard_latency = (
-                    ports[shard][replica].account_packed_search(num_queries))
-            energy += shard_energy
-            latency = max(latency, shard_latency)
-            if self._observers:
-                notify_all(self._observers, "shard_search_completed",
-                           shard, replica, num_queries, elapsed_ms)
-        global_counts = np.empty((num_queries, self.rows), dtype=np.int64)
-        plan.gather_columns(blocks, global_counts)
-        return global_counts, float(energy), latency
+        counts, energy, latency = port.mismatch_counts_packed(packed)
+        local = populated[spec.global_rows]
+        indices, raw = select_topk(counts[:, local], spec.global_rows[local],
+                                   k, self.rows)
+        return indices, raw, energy, latency
 
     # -- accounting ----------------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """The sharded pipeline's write path: allocation bound and lost updates.
 
 A write must cost memory in proportion to what searches need copied, not
-to the whole row store: the unpacked bits are mutated in place under the
-state lock, and only the packed words (8 bytes per 64 bits per row) and
-the populated mask are replaced copy-on-write.  The allocation is
-measured with ``tracemalloc``, so no clock; the stress test races writes
-against rebalances, which rebuild every port from the unpacked bits.
+to a one-byte-per-bit row store: the pipeline keeps no unpacked copy, and
+only the packed words (8 bytes per 64 bits per row) and the populated
+mask are replaced copy-on-write.  The allocation is measured with
+``tracemalloc``, so no clock; the stress test races writes against
+rebalances, which reload every port by unpacking the packed words.
 """
 
 import sys

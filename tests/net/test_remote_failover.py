@@ -9,6 +9,9 @@ Either way the oracle is the in-process cluster: a remote answer must be
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -293,6 +296,138 @@ class TestReReplication:
             stats = remote.stats()["net"]
             assert stats["re_replications"] == 0
             assert (0, 0) in stats["dead_replicas"]
+        finally:
+            remote.close()
+
+
+class OnFirstSend:
+    """A transport that runs ``hook`` once, before its first request."""
+
+    def __init__(self, inner, hook):
+        self.inner, self.hook = inner, hook
+
+    def send_once(self, *args, **kwargs):
+        hook, self.hook = self.hook, None
+        if hook is not None:
+            hook()
+        return self.inner.send_once(*args, **kwargs)
+
+    def close(self):
+        self.inner.close()
+
+    def stats(self):
+        return self.inner.stats()
+
+
+def assert_matches_reference(remote, reference, queries):
+    assert np.array_equal(remote.search_batch(queries)[0],
+                          reference.search_batch(queries)[0])
+    packed = pack_bits(queries)
+    ours = remote.topk_packed(packed, 4)
+    theirs = reference.topk_packed(packed, 4)
+    assert np.array_equal(ours.indices, theirs.indices)
+    assert np.array_equal(ours.distances, theirs.distances)
+
+
+class TestWriteFailover:
+    """A write that hits a dead replica must still land on the others."""
+
+    def test_write_after_kill_lands_on_survivor(self, shard_servers,
+                                                row_bits, queries,
+                                                reference):
+        flaky = []
+        remote = make_remote(shard_servers, flaky=flaky)
+        try:
+            flaky[0].kill()  # shard 0, replica 0, before any row is stored
+            remote.write_rows(row_bits)
+            assert remote.occupancy == ROWS
+            stats = remote.stats()["net"]
+            assert (0, 0) in stats["dead_replicas"]
+            assert stats["re_replications"] == 0  # no factory configured
+            assert_matches_reference(remote, reference, queries)
+        finally:
+            remote.close()
+
+    def test_write_after_kill_re_replicates(self, shard_servers, row_bits,
+                                            queries, reference):
+        flaky = []
+        remote = make_remote(
+            shard_servers, flaky=flaky,
+            replacement_factory=shard_servers.spawn_replacement)
+        try:
+            dead_url = shard_servers.endpoints[0][0]
+            flaky[0].kill()
+            remote.write_rows(row_bits)
+            stats = remote.stats()["net"]
+            assert stats["re_replications"] == 1
+            assert stats["dead_replicas"] == []
+            assert stats["endpoints"][0][0] != dead_url
+            # Both replicas of shard 0 must serve the write: round-robin
+            # lands on each of them across these searches.
+            for _ in range(2):
+                assert_matches_reference(remote, reference, queries)
+            assert remote.stats()["net"]["failovers"] == 1
+        finally:
+            remote.close()
+
+    def test_write_during_repair_reaches_the_replacement(
+            self, shard_servers, row_bits, queries, reference):
+        # The replacement's first load request lets a second write land
+        # (it fails on the dead slot, so the failover count reaches 2)
+        # before the load goes on: the repair must reload, not swap in a
+        # replica that misses those rows.
+        errors = []
+
+        def write_second_block():
+            try:
+                remote.write_rows(row_bits[4:8], start_row=4)
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        def interleave():
+            writer.start()
+            deadline = time.monotonic() + 30
+            while remote.stats()["net"]["failovers"] < 2:
+                assert time.monotonic() < deadline, "second write never ran"
+                time.sleep(0.005)
+
+        created = []
+
+        def factory(base_url):
+            created.append(FlakyTransport(HttpTransport(base_url), seed=0))
+            # Ports 0-3 are the initial replicas; the fifth replaces (0, 0).
+            if len(created) == 5:
+                return OnFirstSend(created[-1], interleave)
+            return created[-1]
+
+        remote = RemoteCamCluster(
+            shard_servers.endpoints, total_rows=ROWS, word_bits=BITS,
+            transport_factory=factory,
+            replacement_factory=shard_servers.spawn_replacement)
+        writer = threading.Thread(target=write_second_block)
+        try:
+            created[0].kill()
+            remote.write_rows(row_bits[:4])
+            writer.join(timeout=30)
+            assert not writer.is_alive() and errors == []
+            remote.write_rows(row_bits[8:], start_row=8)
+            stats = remote.stats()["net"]
+            assert stats["re_replications"] == 1
+            assert stats["dead_replicas"] == []
+            for _ in range(2):  # both replicas of every shard
+                assert_matches_reference(remote, reference, queries)
+        finally:
+            remote.close()
+
+    def test_write_raises_only_when_no_replica_took_it(self, shard_servers,
+                                                       row_bits):
+        flaky = []
+        remote = make_remote(shard_servers, flaky=flaky)
+        try:
+            for transport in flaky[:2]:  # the whole of shard 0
+                transport.kill()
+            with pytest.raises(ShardUnavailableError):
+                remote.write_rows(row_bits)
         finally:
             remote.close()
 
