@@ -89,7 +89,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"{speedup:.2f}x")
     cell = kernel_summary["retrieval_cell"]
     print(f"[bench]   narrow packed kernel {cell['workload']}: "
-          f"{cell['median_s'] * 1e3:.2f} ms (recorded, not gated)")
+          f"{cell['median_s'] * 1e3:.2f} ms, "
+          f"{cell['speedup_vs_serial']:.2f}x vs serial "
+          f"{cell['serial_median_s'] * 1e3:.2f} ms (recorded, not gated)")
     for label, speedup in kernel_summary["worker_scaling"].items():
         print(f"[bench]   process engine ({label}) vs serial: {speedup:.2f}x")
     print(f"[bench] wrote {kernels_path}")

@@ -42,6 +42,7 @@ from repro.core.bitops import (
     accumulator_dtype,
     pack_bits,
     packed_hamming_matrix,
+    usable_cpus,
 )
 from repro.core.hashing import hamming_distance_matrix_unpacked
 
@@ -289,18 +290,22 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
     and the packing cost is reported as its own record).  The two kernels
     are asserted bit-identical on every cell before timing.
 
-    ``thread_counts`` additionally times the row-block-threaded kernel
-    (``packed_hamming_matrix(..., num_threads=n)``, the ``REPRO_NUM_THREADS``
-    lever) at each requested worker count, on the cells that span more than
-    one row block (threading never engages on a single block); ``None``
-    picks one count from the machine (up to 4 workers).  Threaded results
-    are asserted identical to the serial kernel and their speedup *over the
-    serial packed kernel* is reported per cell -- expect ~1x on single-core
-    boxes.
+    The default kernel spans the usable CPUs, so every "vs serial" figure
+    is taken against an explicit ``num_threads=1`` record.
+    ``thread_counts`` additionally times the kernel capped at each
+    requested worker count (``packed_hamming_matrix(..., num_threads=n)``)
+    on the cells that span more than one row block (a square cell of one
+    block is also one tile, so it never splits); ``None`` picks one count
+    from the machine (up to 4 workers).  Capped results are asserted
+    identical to the serial kernel and their speedup over the
+    ``kernel/packed_popcount_serial`` record is reported per cell --
+    expect ~1x on single-core boxes.
 
     The :data:`KERNEL_RETRIEVAL_CELL` record
     (``kernel/packed_popcount_narrow/queries=16,rows=131072,k=256``) times
-    the retrieval shape on every run, recorded under ``retrieval_cell``.
+    the retrieval shape on every run, by default and with
+    ``num_threads=1``; ``retrieval_cell`` reports both medians and the
+    default-vs-serial ratio (the column-tile split).
 
     The execution-plane scaling curve rides along: the acceptance workload
     also runs through the process engine at each of
@@ -318,7 +323,7 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
         ``threaded_speedups`` and the process-engine ``worker_scaling``.
     """
     if thread_counts is None:
-        thread_counts = (max(2, min(4, os.cpu_count() or 1)),)
+        thread_counts = (max(2, min(4, usable_cpus())),)
     rng = np.random.default_rng(seed)
     records: list[BenchRecord] = []
     speedups: dict[str, float] = {}
@@ -353,10 +358,18 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
             lambda a=bits_a: pack_bits(a), rounds=rounds)
         records.extend((unpacked_record, packed_record, pack_record))
 
-        # Threaded records only where threading actually engages (the
-        # kernel runs serially on a single row block); timing the serial
-        # fallback as "threaded" would misreport ~1.0x as a null result.
+        # Capped records only where the split actually engages (a single
+        # row block of a square cell is one tile); timing the inline path
+        # as "threaded" would misreport ~1.0x as a null result.
         cell_thread_counts = thread_counts if rows > KERNEL_BLOCK_ROWS else ()
+        if cell_thread_counts:
+            serial_record = benchmark_callable(
+                f"kernel/packed_popcount_serial/{cell}", "kernel",
+                {**params, "num_threads": 1},
+                lambda a=packed_a, b=packed_b:
+                    packed_hamming_matrix(a, b, num_threads=1),
+                rounds=rounds)
+            records.append(serial_record)
         for workers in cell_thread_counts:
             threaded_result = packed_hamming_matrix(packed_a, packed_b,
                                                     num_threads=workers)
@@ -373,7 +386,7 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
                 rounds=rounds)
             records.append(threaded_record)
             threaded_speedups.setdefault(cell, {})[f"threads={workers}"] = (
-                packed_record.median_s / max(threaded_record.median_s, 1e-12))
+                serial_record.median_s / max(threaded_record.median_s, 1e-12))
 
         speedup = unpacked_record.median_s / max(packed_record.median_s, 1e-12)
         speedups[cell] = speedup
@@ -403,13 +416,20 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
         raise AssertionError("narrow packed kernel diverged from GEMM reference "
                              "on the retrieval cell")
     retrieval_cell = f"queries={queries},rows={rows},k={k}"
+    retrieval_params = {"rows_a": queries, "rows_b": rows, "hash_length": k,
+                        "out_dtype": str(narrow.dtype)}
     retrieval_record = benchmark_callable(
         f"kernel/packed_popcount_narrow/{retrieval_cell}", "kernel",
-        {"rows_a": queries, "rows_b": rows, "hash_length": k,
-         "out_dtype": str(narrow.dtype)},
+        retrieval_params,
         lambda: packed_hamming_matrix(packed_q, packed_r, out=narrow),
         rounds=rounds)
-    records.append(retrieval_record)
+    retrieval_serial = benchmark_callable(
+        f"kernel/packed_popcount_narrow_serial/{retrieval_cell}", "kernel",
+        {**retrieval_params, "num_threads": 1},
+        lambda: packed_hamming_matrix(packed_q, packed_r, num_threads=1,
+                                      out=narrow),
+        rounds=rounds)
+    records.extend((retrieval_record, retrieval_serial))
 
     # -- execution-plane worker scaling ----------------------------------------
     # The process engine at 1/2/4/8 workers on the acceptance workload
@@ -425,9 +445,10 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
     serial_record = benchmark_callable(
         "kernel/scaling/serial", "kernel",
         {"rows_a": rows, "rows_b": rows, "hash_length": k},
-        lambda: packed_hamming_matrix(scale_a, scale_b), rounds=rounds)
+        lambda: packed_hamming_matrix(scale_a, scale_b, num_threads=1),
+        rounds=rounds)
     records.append(serial_record)
-    serial_result = packed_hamming_matrix(scale_a, scale_b)
+    serial_result = packed_hamming_matrix(scale_a, scale_b, num_threads=1)
     worker_scaling: dict[str, float] = {}
     for workers in KERNEL_SCALING_WORKERS:
         engine = resolve_executor("processes", workers=workers,
@@ -457,8 +478,12 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
                                "retrieval_cell": {
                                    "workload": retrieval_cell,
                                    "median_s": retrieval_record.median_s,
+                                   "serial_median_s": retrieval_serial.median_s,
+                                   "speedup_vs_serial": (
+                                       retrieval_serial.median_s
+                                       / max(retrieval_record.median_s, 1e-12)),
                                    "gated": False},
-                               "cores": os.cpu_count() or 1}
+                               "cores": usable_cpus()}
     if acceptance is not None:
         summary["acceptance"] = acceptance
     return records, summary

@@ -21,6 +21,14 @@ Both backends are bit-exact; :func:`packed_hamming_matrix` is bit-exact
 against the naive XOR-sum over unpacked bits for any bit length, including
 lengths not divisible by 8 or 64 (the zero padding cancels in the XOR).
 
+Like the CAM banks that search their rows at the same time, the kernel
+spans every usable CPU (:func:`usable_cpus`) by default: it splits its row
+blocks, or the column tiles of a single block, into contiguous units and
+runs them on the calling thread plus one module thread pool.  The XOR,
+popcount and add ufuncs release the GIL on tiles this large, and every
+count is an independent ``popcount(XOR)``, so the split changes no bit of
+the answer.  ``num_threads=1`` keeps a call serial.
+
 This module is deliberately a *leaf*: it depends on NumPy only.  Both
 ``repro.core`` (hashing, simulator) and ``repro.cam`` (array storage and
 search) build on these kernels, so the implementation must not import
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -55,9 +63,9 @@ HAVE_BITWISE_COUNT: bool = hasattr(np, "bitwise_count")
 #: overflow: the agreement matrix lies in [-k, k], so k must fit in int16.
 INT16_SAFE_MAX_BITS: int = int(np.iinfo(np.int16).max)
 
-#: Row-block size of the blocked kernel: the unit of work the threaded and
-#: execution-plane paths hand out.  Cache residency comes from the column
-#: tiling below, not from this bound.
+#: Row-block size of the blocked kernel: the unit of work the kernel's own
+#: split and the execution-plane engines hand out.  Cache residency comes
+#: from the column tiling below, not from this bound.
 KERNEL_BLOCK_ROWS: int = 512
 
 #: Target elements per kernel tile (block height x tile columns).  Each
@@ -70,20 +78,16 @@ KERNEL_TILE_ELEMENTS: int = 1 << 18
 #: more than the cache saves, and every short operand stays one tile.
 KERNEL_MIN_TILE_COLUMNS: int = 8192
 
-#: Environment variable enabling multi-threaded row-block execution of
-#: :func:`packed_hamming_matrix`.  Unset or "1" keeps the kernel serial;
-#: "0" means one thread per CPU.
-NUM_THREADS_ENV: str = "REPRO_NUM_THREADS"
-
 #: Environment variable selecting the execution-plane engine
 #: (``inline`` / ``threads`` / ``processes``).  Defined here -- the leaf
 #: module -- so :mod:`repro.exec` can import it without a cycle; when it
 #: is set and the caller did not pin ``num_threads``, the pairwise kernel
-#: routes through :mod:`repro.exec` instead of the legacy thread pool.
+#: routes through :mod:`repro.exec` instead of its own CPU split.
 EXECUTOR_ENV: str = "REPRO_EXECUTOR"
 
-_EXECUTOR_LOCK = threading.Lock()
-_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
+_POOL_LOCK = threading.Lock()
+_POOL: ThreadPoolExecutor | None = None
+_USABLE_CPUS: int | None = None
 
 _PLANE_LOCK = threading.Lock()
 _PLANE_EXECUTORS: dict = {}
@@ -111,44 +115,62 @@ def _plane_executor(spec):
         return engine
 
 
-def resolve_num_threads(num_threads: int | None = None) -> int:
-    """Worker count for the threaded kernel path.
+def usable_cpus() -> int:
+    """CPUs this process may run on, computed once per process.
 
-    ``None`` reads :data:`NUM_THREADS_ENV` (defaulting to 1, i.e. serial);
-    ``0`` -- explicit or via the environment -- means one thread per CPU.
+    The scheduler affinity mask where the platform has one (so a
+    ``taskset``- or cpuset-limited process never oversubscribes),
+    otherwise ``os.cpu_count()``.
     """
-    if num_threads is None:
-        raw = os.environ.get(NUM_THREADS_ENV, "").strip()
-        if not raw:
-            return 1
+    global _USABLE_CPUS
+    if _USABLE_CPUS is None:
         try:
-            num_threads = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{NUM_THREADS_ENV} must be an integer, got {raw!r}") from None
+            count = len(os.sched_getaffinity(0))
+        except AttributeError:
+            count = os.cpu_count() or 1
+        _USABLE_CPUS = max(1, count)
+    return _USABLE_CPUS
+
+
+def resolve_num_threads(num_threads: int | None = None) -> int:
+    """Worker cap of the kernel: ``None`` or ``0`` mean :func:`usable_cpus`.
+
+    An explicit positive count is honoured as given (``1`` = serial).
+    """
+    if num_threads is None or int(num_threads) == 0:
+        return usable_cpus()
     num_threads = int(num_threads)
     if num_threads < 0:
         raise ValueError("num_threads must be non-negative")
-    if num_threads == 0:
-        return max(1, os.cpu_count() or 1)
     return num_threads
 
 
-def _get_executor(workers: int) -> ThreadPoolExecutor:
-    """Shared kernel thread pool for ``workers``, one pool per size.
+def _kernel_pool() -> ThreadPoolExecutor:
+    """The module's kernel pool: ``usable_cpus() - 1`` threads, made once.
 
-    Pools are kept per worker count and never shut down: a shutdown on
-    resize could race a concurrent caller that already holds the old pool
-    (its ``submit`` would raise), and the handful of distinct sizes a
-    process uses keeps the cache tiny.
+    The calling thread runs one unit of every split call itself, so the
+    pool plus the caller cover every usable CPU.
     """
-    with _EXECUTOR_LOCK:
-        executor = _EXECUTORS.get(workers)
-        if executor is None:
-            executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-hamming")
-            _EXECUTORS[workers] = executor
-        return executor
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=max(1, usable_cpus() - 1),
+                                       thread_name_prefix="repro-hamming")
+        return _POOL
+
+
+def _reset_after_fork() -> None:
+    """Drop the pool and CPU count a forked child inherited.
+
+    The child gets the pool object but not its threads, so a split call
+    would queue forever; the lock may have been held at the fork.
+    """
+    global _POOL, _POOL_LOCK, _USABLE_CPUS
+    _POOL, _POOL_LOCK, _USABLE_CPUS = None, threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def words_for_bits(bit_length: int) -> int:
@@ -303,25 +325,31 @@ class _TileBuffers:
 
 def _hamming_block(a: np.ndarray, b: np.ndarray, out: np.ndarray,
                    start: int, stop: int, acc_dtype: np.dtype,
-                   buffers: _TileBuffers | None = None) -> None:
-    """Fill ``out[start:stop]`` with distances of ``a[start:stop]`` vs ``b``.
+                   buffers: _TileBuffers | None = None,
+                   columns: tuple[int, int] | None = None) -> _TileBuffers:
+    """Fill ``out[start:stop, first:last]`` with ``a[start:stop]`` vs ``b``.
 
-    Walks ``b`` in column tiles of :func:`tile_columns` width.  Each tile
-    is first copied word-major, so every XOR below reads one contiguous
-    row of words.  Per word the tile is XORed into one buffer, popcounted
+    ``columns`` is the ``(first, last)`` range of ``b`` rows to cover
+    (all of them by default); ``first`` sits on the tile grid.  Walks the
+    range in column tiles of :func:`tile_columns` width.  Each tile is
+    first copied word-major, so every XOR below reads one contiguous row
+    of words.  Per word the tile is XORed into one buffer, popcounted
     into a second and summed into the accumulator, all through ``out=``;
-    the tile's counts then land in ``out`` in ``out``'s dtype.
+    the tile's counts then land in ``out`` in ``out``'s dtype.  Returns
+    the tile buffers, for the next block of the same range to reuse.
     """
     height = stop - start
     rows_b, word_count = b.shape
+    first, last = columns if columns is not None else (0, rows_b)
     tile = tile_columns(min(a.shape[0], KERNEL_BLOCK_ROWS), rows_b)
     if buffers is None:
-        buffers = _TileBuffers(height, tile, word_count, acc_dtype)
+        buffers = _TileBuffers(height, min(tile, last - first), word_count,
+                               acc_dtype)
     rows = a[start:stop]
-    for first in range(0, rows_b, tile):
-        last = min(first + tile, rows_b)
-        words, xor, count, acc = buffers.views(height, last - first)
-        np.copyto(words, b[first:last].T)
+    for low in range(first, last, tile):
+        high = min(low + tile, last)
+        words, xor, count, acc = buffers.views(height, high - low)
+        np.copyto(words, b[low:high].T)
         for word in range(word_count):
             np.bitwise_xor(rows[:, word, None], words[word], out=xor)
             if word == 0:
@@ -329,7 +357,24 @@ def _hamming_block(a: np.ndarray, b: np.ndarray, out: np.ndarray,
             else:
                 _popcount_into(xor, count)
                 np.add(acc, count, out=acc)
-        out[start:stop, first:last] = acc
+        out[start:stop, low:high] = acc
+    return buffers
+
+
+def _hamming_unit(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                  blocks: list, columns: tuple[int, int],
+                  acc_dtype: np.dtype) -> None:
+    """One unit of the split kernel: row ``blocks`` x one column range."""
+    buffers = None
+    for start, stop in blocks:
+        buffers = _hamming_block(a, b, out, start, stop, acc_dtype, buffers,
+                                 columns)
+
+
+def _even_groups(count: int, parts: int) -> list[tuple[int, int]]:
+    """``parts`` contiguous, non-empty index ranges covering ``range(count)``."""
+    bounds = [count * part // parts for part in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
@@ -345,14 +390,9 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
     b_packed:
         ``(rows_b, words)`` packed signatures.
     num_threads:
-        Row-block parallelism of the legacy threaded path.  ``None``
-        (default) defers to the ``REPRO_NUM_THREADS`` environment
-        variable, keeping the kernel serial when that is unset; ``0``
-        means one thread per CPU.  The threaded path splits ``rows_a``
-        into the same row blocks the serial path uses and runs them on a
-        shared thread pool -- the XOR and popcount ufuncs release the
-        GIL on blocks this large, so the blocks genuinely overlap on
-        multi-core machines.
+        Cap on the CPUs the kernel spans.  ``None`` (default) or ``0``
+        mean :func:`usable_cpus`; ``1`` keeps the call serial in the
+        calling thread.
     executor:
         Execution-plane engine: an engine name (``"inline"``,
         ``"threads"``, ``"processes"``) or an :class:`repro.exec.Executor`
@@ -360,9 +400,9 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
         ``num_threads`` is ignored.  When ``None`` and ``num_threads`` is
         also ``None``, the ``REPRO_EXECUTOR`` environment variable (if
         set) selects the engine; an explicit ``num_threads`` pins the
-        legacy path, which is also what keeps process workers -- which
-        inherit the environment across ``fork`` -- from re-entering the
-        plane recursively.
+        kernel's own split, which is also what keeps process workers --
+        which inherit the environment across ``fork`` -- from
+        re-entering the plane recursively.
     out:
         Optional ``(rows_a, rows_b)`` integer array to write the distances
         into, as with a NumPy ufunc.  Its dtype must hold every count:
@@ -374,14 +414,21 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
     np.ndarray
         ``(rows_a, rows_b)`` distance matrix -- ``out`` when given, else a
         new ``int64`` array -- bit-exact against the naive XOR-sum over
-        the unpacked bits (all engines run the same block body over
-        disjoint output rows, so serial, threaded and process results are
-        identical).
+        the unpacked bits (every split and engine runs the same block
+        body over disjoint parts of the output, so serial, split and
+        process results are identical).
 
     The kernel blocks ``rows_a`` into :data:`KERNEL_BLOCK_ROWS` rows and
     tiles ``rows_b`` by :func:`tile_columns`, iterating over the (few)
     words inside each tile so its temporaries stay cache-resident;
     distances accumulate in the narrowest dtype that cannot overflow.
+
+    The work spans up to ``num_threads`` CPUs: contiguous groups of the
+    row blocks when there are several, else contiguous groups of the
+    column tiles, so a few queries against a long store split too.  Each
+    unit owns its tile buffers and writes its own slice of ``out``; the
+    calling thread runs the first unit and the module's kernel pool the
+    rest.  A single unit -- at most one block of one tile -- runs inline.
     """
     a = np.ascontiguousarray(a_packed, dtype=np.uint64)
     b = np.ascontiguousarray(b_packed, dtype=np.uint64)
@@ -415,22 +462,24 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
         out = np.empty((rows_a, rows_b), dtype=np.int64)
     if rows_a == 0 or rows_b == 0:
         return out
-    workers = resolve_num_threads(num_threads)
-
-    spans = [(start, min(start + KERNEL_BLOCK_ROWS, rows_a))
-             for start in range(0, rows_a, KERNEL_BLOCK_ROWS)]
-    if workers > 1 and len(spans) > 1:
-        executor = _get_executor(workers)
-        futures = [executor.submit(_hamming_block, a, b, out, start, stop,
-                                   acc_dtype)
-                   for start, stop in spans]
-        for future in futures:
-            future.result()
-        return out
-
-    height = spans[0][1] - spans[0][0]
-    buffers = _TileBuffers(height, tile_columns(height, rows_b), word_count,
-                           acc_dtype)
-    for start, stop in spans:
-        _hamming_block(a, b, out, start, stop, acc_dtype, buffers)
+    blocks = [(start, min(start + KERNEL_BLOCK_ROWS, rows_a))
+              for start in range(0, rows_a, KERNEL_BLOCK_ROWS)]
+    tile = tile_columns(blocks[0][1], rows_b)
+    tiles = -(-rows_b // tile)
+    splits = len(blocks) if len(blocks) > 1 else tiles
+    groups = _even_groups(splits, min(resolve_num_threads(num_threads), splits))
+    if len(blocks) > 1:
+        units = [(blocks[low:high], (0, rows_b)) for low, high in groups]
+    else:
+        units = [(blocks, (low * tile, min(high * tile, rows_b)))
+                 for low, high in groups]
+    pending = [_kernel_pool().submit(_hamming_unit, a, b, out, *unit,
+                                     acc_dtype)
+               for unit in units[1:]]
+    try:
+        _hamming_unit(a, b, out, *units[0], acc_dtype)
+    finally:
+        wait(pending)
+    for future in pending:
+        future.result()
     return out

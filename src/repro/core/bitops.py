@@ -14,7 +14,6 @@ from repro.bitops import (
     HAVE_BITWISE_COUNT,
     INT16_SAFE_MAX_BITS,
     KERNEL_BLOCK_ROWS,
-    NUM_THREADS_ENV,
     POPCOUNT_LUT,
     WORD_BITS,
     WORD_BYTES,
@@ -25,6 +24,7 @@ from repro.bitops import (
     popcount,
     popcount_lut,
     resolve_num_threads,
+    usable_cpus,
     unpack_bits,
     words_for_bits,
 )
@@ -34,7 +34,6 @@ __all__ = [
     "HAVE_BITWISE_COUNT",
     "INT16_SAFE_MAX_BITS",
     "KERNEL_BLOCK_ROWS",
-    "NUM_THREADS_ENV",
     "POPCOUNT_LUT",
     "WORD_BITS",
     "WORD_BYTES",
@@ -45,6 +44,7 @@ __all__ = [
     "popcount",
     "popcount_lut",
     "resolve_num_threads",
+    "usable_cpus",
     "unpack_bits",
     "words_for_bits",
 ]

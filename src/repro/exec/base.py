@@ -38,7 +38,7 @@ import numpy as np
 
 # Canonically defined in the leaf kernel module so it can consult the
 # plane without an import cycle; re-exported here as the public home.
-from repro.bitops import EXECUTOR_ENV
+from repro.bitops import EXECUTOR_ENV, usable_cpus
 # The leaf metrics module (not the repro.obs package) keeps the exec
 # plane import-light and cycle-free.
 from repro.obs.metrics import default_registry as _default_metrics_registry
@@ -236,9 +236,9 @@ def split_rows(total_rows: int, parts: int,
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker budget: ``None``/``0`` mean one worker per CPU."""
+    """Worker budget: ``None``/``0`` mean one worker per usable CPU."""
     if workers is None or int(workers) == 0:
-        return max(1, os.cpu_count() or 1)
+        return usable_cpus()
     workers = int(workers)
     if workers < 0:
         raise ValueError("workers must be non-negative")

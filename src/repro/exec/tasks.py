@@ -19,6 +19,7 @@ from repro.bitops import (
     KERNEL_BLOCK_ROWS,
     accumulator_dtype,
     _hamming_block,
+    _hamming_unit,
     packed_hamming_matrix,
 )
 
@@ -97,11 +98,11 @@ def fill_span(a_block: np.ndarray, b: np.ndarray,
 
     Process workers receive one contiguous span per worker (to bound the
     per-task pickle count); this walks it in :data:`KERNEL_BLOCK_ROWS`
-    steps through the serial kernel's own (column-tiled) block body.
+    steps through the serial kernel's own (column-tiled) block body,
+    reusing one set of tile buffers.
     """
-    acc_dtype = accumulator_dtype(a_block.shape[1])
-    for start, stop in kernel_spans(a_block.shape[0]):
-        _hamming_block(a_block, b, out_span, start, stop, acc_dtype)
+    _hamming_unit(a_block, b, out_span, kernel_spans(a_block.shape[0]),
+                  (0, b.shape[0]), accumulator_dtype(a_block.shape[1]))
 
 
 def gather_counts(blocks: Sequence[np.ndarray]) -> np.ndarray:

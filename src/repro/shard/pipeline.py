@@ -205,8 +205,9 @@ class ShardedCamPipeline:
         :class:`repro.exec.Executor` instance (whose lifecycle the caller
         then owns).  ``None`` defers to the ``REPRO_EXECUTOR``
         environment variable; when that is unset too, ports mode fans
-        out on the default thread engine and fused mode keeps the
-        single vectorised kernel -- exactly the pre-plane behaviour.
+        out on the default thread engine and fused mode makes one
+        kernel call over the whole store per search, which itself spans
+        the usable CPUs (see :func:`repro.bitops.packed_hamming_matrix`).
         The process engine is wrapped in the crash-containment fallback,
         so a killed worker degrades to a bit-identical inline replay.
     num_workers:

@@ -88,6 +88,10 @@ class TestSuites:
                 in names)
         assert summary["retrieval_cell"]["gated"] is False
         assert summary["retrieval_cell"]["median_s"] > 0.0
+        # ... and again capped at one thread, for the default-vs-serial ratio.
+        assert ("kernel/packed_popcount_narrow_serial/"
+                "queries=16,rows=131072,k=256" in names)
+        assert summary["retrieval_cell"]["speedup_vs_serial"] > 0.0
 
     def test_e2e_suite_runs_quickly(self):
         records = e2e_benchmarks(quick=True, rounds=1)
@@ -100,6 +104,9 @@ class TestSuites:
                                              thread_counts=(2,))
         names = {record.name for record in records}
         assert "kernel/packed_popcount_threads=2/rows=1024,k=64" in names
+        # Speedups are against an explicit serial record, not the default
+        # kernel (which spans the CPUs itself).
+        assert "kernel/packed_popcount_serial/rows=1024,k=64" in names
         assert summary["thread_counts"] == [2]
         cell_speedups = summary["threaded_speedups"]["rows=1024,k=64"]
         assert cell_speedups["threads=2"] > 0.0

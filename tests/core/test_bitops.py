@@ -1,9 +1,13 @@
 """Tests for the bit-packed signature kernels."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 import repro.bitops as bitops_impl
+import repro.exec.base as exec_base
 from repro.core.bitops import (
     INT16_SAFE_MAX_BITS,
     POPCOUNT_LUT,
@@ -25,6 +29,28 @@ from repro.core.hashing import (
 
 def naive_hamming(bits_a, bits_b):
     return (bits_a[:, None, :] != bits_b[None, :, :]).sum(axis=-1).astype(np.int64)
+
+
+def count_units(monkeypatch):
+    """Record every work unit the kernel runs, from any thread."""
+    units = []
+    run_unit = bitops_impl._hamming_unit
+
+    def recording(*args):
+        units.append(args[4])
+        run_unit(*args)
+
+    monkeypatch.setattr(bitops_impl, "_hamming_unit", recording)
+    return units
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    # 5-row blocks and 7-column tiles, so tiny operands cross both.
+    monkeypatch.setattr(bitops_impl, "KERNEL_BLOCK_ROWS", 5)
+    monkeypatch.setattr(bitops_impl, "KERNEL_TILE_ELEMENTS", 35)
+    monkeypatch.setattr(bitops_impl, "KERNEL_MIN_TILE_COLUMNS", 7)
+    assert bitops_impl.tile_columns(5, 100) == 7
 
 
 class TestWordsForBits:
@@ -203,8 +229,14 @@ class TestHammingDistanceMatrixDispatch:
         assert hamming_distance_matrix(bits_a, bits_b)[0, 0] == k
 
 
+def _child_matches(a, b, expected):
+    """Fork target: a default-args call must finish and match ``expected``."""
+    if not np.array_equal(packed_hamming_matrix(a, b), expected):
+        raise SystemExit(1)
+
+
 class TestThreadedKernel:
-    """Row-block threading of the packed kernel (REPRO_NUM_THREADS lever)."""
+    """The kernel spans the usable CPUs by default; ``num_threads`` caps it."""
 
     def test_threaded_matches_serial_across_block_boundaries(self, rng):
         # Rows chosen to span multiple kernel blocks with a ragged tail.
@@ -218,31 +250,48 @@ class TestThreadedKernel:
                                              num_threads=workers)
             assert np.array_equal(threaded, serial)
 
-    def test_env_var_engages_threads(self, rng, monkeypatch):
+    def test_default_call_spans_usable_cpus(self, rng, monkeypatch):
         bits_a = rng.integers(0, 2, size=(1100, 64), dtype=np.uint8)
         bits_b = rng.integers(0, 2, size=(64, 64), dtype=np.uint8)
         packed_a, packed_b = pack_bits(bits_a), pack_bits(bits_b)
-        serial = packed_hamming_matrix(packed_a, packed_b)
-        monkeypatch.setenv(bitops_impl.NUM_THREADS_ENV, "2")
+        serial = packed_hamming_matrix(packed_a, packed_b, num_threads=1)
+        units = count_units(monkeypatch)
+        monkeypatch.setattr(bitops_impl, "usable_cpus", lambda: 2)
         assert np.array_equal(packed_hamming_matrix(packed_a, packed_b), serial)
+        assert len(units) == 2  # three row blocks in two groups
 
     def test_resolve_num_threads_contract(self, monkeypatch):
-        monkeypatch.delenv(bitops_impl.NUM_THREADS_ENV, raising=False)
-        assert bitops_impl.resolve_num_threads() == 1
-        assert bitops_impl.resolve_num_threads(7) == 7
-        # 0 = one thread per CPU, explicitly or via the environment.
-        assert bitops_impl.resolve_num_threads(0) >= 1
-        monkeypatch.setenv(bitops_impl.NUM_THREADS_ENV, "3")
+        monkeypatch.setattr(bitops_impl, "usable_cpus", lambda: 3)
         assert bitops_impl.resolve_num_threads() == 3
-        monkeypatch.setenv(bitops_impl.NUM_THREADS_ENV, "0")
-        assert bitops_impl.resolve_num_threads() >= 1
+        assert bitops_impl.resolve_num_threads(0) == 3
+        assert bitops_impl.resolve_num_threads(1) == 1
+        assert bitops_impl.resolve_num_threads(7) == 7
 
-    def test_resolve_num_threads_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(bitops_impl.NUM_THREADS_ENV, "many")
-        with pytest.raises(ValueError, match="REPRO_NUM_THREADS"):
-            bitops_impl.resolve_num_threads()
+    def test_resolve_num_threads_rejects_garbage(self):
         with pytest.raises(ValueError):
             bitops_impl.resolve_num_threads(-1)
+        with pytest.raises(ValueError):
+            bitops_impl.resolve_num_threads("many")
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(bitops_impl, "_USABLE_CPUS", None)
+        if hasattr(os, "sched_getaffinity"):
+            expected = len(os.sched_getaffinity(0))
+        else:
+            expected = os.cpu_count() or 1
+        assert bitops_impl.usable_cpus() == expected
+        monkeypatch.setattr(bitops_impl, "_USABLE_CPUS", None)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert bitops_impl.usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: 9)
+        assert bitops_impl.usable_cpus() == 5  # computed once
+
+    def test_resolve_workers_uses_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(exec_base, "usable_cpus", lambda: 3)
+        assert exec_base.resolve_workers() == 3
+        assert exec_base.resolve_workers(0) == 3
+        assert exec_base.resolve_workers(2) == 2
 
     def test_threaded_small_input_falls_back_to_serial_path(self, rng):
         # A single block never pays the executor overhead; results identical.
@@ -251,6 +300,28 @@ class TestThreadedKernel:
         assert np.array_equal(
             packed_hamming_matrix(packed, packed, num_threads=4),
             naive_hamming(bits, bits))
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method")
+    def test_forked_child_gets_a_fresh_pool(self, rng, monkeypatch):
+        # The parent's pool has live threads; a forked child inherits the
+        # pool object without them and must not queue onto it forever.
+        monkeypatch.setattr(bitops_impl, "usable_cpus", lambda: 2)
+        a = pack_bits(rng.integers(0, 2, size=(16, 64), dtype=np.uint8))
+        b = pack_bits(rng.integers(0, 2, size=(40000, 64), dtype=np.uint8))
+        assert bitops_impl.tile_columns(16, 40000) < 40000
+        expected = packed_hamming_matrix(a, b, num_threads=1)
+        assert np.array_equal(packed_hamming_matrix(a, b), expected)
+        child = multiprocessing.get_context("fork").Process(
+            target=_child_matches, args=(a, b, expected))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("default-args kernel call hung in a forked child")
+        assert child.exitcode == 0
 
 
 BACKENDS = [pytest.param(True, id="bitwise_count",
@@ -262,14 +333,6 @@ BACKENDS = [pytest.param(True, id="bitwise_count",
 
 class TestTiledKernel:
     """Column tiling of the kernel and its narrow ``out=`` accumulator."""
-
-    @pytest.fixture
-    def small_tiles(self, monkeypatch):
-        # 5-row blocks and 7-column tiles, so tiny operands cross both.
-        monkeypatch.setattr(bitops_impl, "KERNEL_BLOCK_ROWS", 5)
-        monkeypatch.setattr(bitops_impl, "KERNEL_TILE_ELEMENTS", 35)
-        monkeypatch.setattr(bitops_impl, "KERNEL_MIN_TILE_COLUMNS", 7)
-        assert bitops_impl.tile_columns(5, 100) == 7
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("words", range(1, 18))
@@ -355,3 +418,42 @@ class TestTiledKernel:
         with pytest.raises(ValueError, match="cannot hold"):
             packed_hamming_matrix(narrow, narrow,
                                   out=np.empty((2, 2), dtype=np.uint8))
+
+
+class TestColumnSpans:
+    """One row block split into contiguous groups of its column tiles."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("out_dtype", [np.uint16, np.int64])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("rows_b", [8, 15, 23, 50])
+    def test_spans_match_naive(self, rng, monkeypatch, small_tiles, backend,
+                               out_dtype, cpus, rows_b):
+        monkeypatch.setattr(bitops_impl, "HAVE_BITWISE_COUNT", backend)
+        monkeypatch.setattr(bitops_impl, "usable_cpus", lambda: cpus)
+        bits_a = rng.integers(0, 2, size=(5, 130), dtype=np.uint8)
+        bits_b = rng.integers(0, 2, size=(rows_b, 130), dtype=np.uint8)
+        tiles = -(-rows_b // 7)  # ragged tails: 8, 15, 50 are not multiples
+        units = count_units(monkeypatch)
+        out = np.empty((5, rows_b), dtype=out_dtype)
+        assert packed_hamming_matrix(pack_bits(bits_a), pack_bits(bits_b),
+                                     out=out) is out
+        assert np.array_equal(out, naive_hamming(bits_a, bits_b))
+        spans = sorted(units)
+        assert len(spans) == min(cpus, tiles)
+        assert spans[0][0] == 0 and spans[-1][1] == rows_b
+        for (_, stop), (start, _) in zip(spans, spans[1:]):
+            assert stop == start and start % 7 == 0
+
+    def test_explicit_cap_limits_the_spans(self, rng, monkeypatch,
+                                           small_tiles):
+        monkeypatch.setattr(bitops_impl, "usable_cpus", lambda: 8)
+        bits_a = rng.integers(0, 2, size=(4, 64), dtype=np.uint8)
+        bits_b = rng.integers(0, 2, size=(40, 64), dtype=np.uint8)
+        units = count_units(monkeypatch)
+        for cap, expected in ((1, 1), (2, 2), (None, 5)):
+            units.clear()
+            result = packed_hamming_matrix(pack_bits(bits_a),
+                                           pack_bits(bits_b), num_threads=cap)
+            assert np.array_equal(result, naive_hamming(bits_a, bits_b))
+            assert len(units) == expected
