@@ -17,7 +17,11 @@ loopback sockets, verified end to end (``make net-smoke``):
    seeded :func:`~repro.serve.engine.build_demo_engine`;
 5. halfway through, one shard replica is killed outright (port unbound,
    connections severed); the run must keep answering identically, and the
-   cluster must report at least one failover and one re-replication.
+   cluster must report at least one failover and one re-replication;
+6. one last chunk goes through an
+   :class:`~repro.net.async_client.AsyncNetClient` (classify and top-k
+   awaited concurrently), so the async adapter is checked over real
+   sockets against the same oracle.
 
 Exit status is nonzero on any divergence or if the chaos went unnoticed.
 
@@ -30,6 +34,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import asyncio
 import sys
 from pathlib import Path
 
@@ -39,6 +44,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402  (path bootstrap above)
 
 from repro.net import (  # noqa: E402
+    AsyncNetClient,
     LocalShardCluster,
     NetClient,
     NetServer,
@@ -85,16 +91,25 @@ def main(argv: list[str] | None = None) -> int:
                 NetClient(front.base_url) as client:
             print(f"[net-smoke] serve plane at {front.base_url}")
 
-            def drive(chunk_index: int) -> int:
+            def sync_answers(queries):
+                return (client.infer_many(queries),
+                        client.topk_many(queries, args.k))
+
+            async def async_answers(queries):
+                async with AsyncNetClient(front.base_url) as async_client:
+                    return await asyncio.gather(
+                        async_client.infer_many(queries),
+                        async_client.topk_many(queries, args.k))
+
+            def drive(chunk_index: int, answers=sync_answers) -> int:
                 bad = 0
                 queries = rng.standard_normal(
                     (args.batch, GEOMETRY["input_dim"]))
-                if not np.array_equal(client.infer_many(queries),
-                                      oracle.infer_many(queries)):
+                logits, (remote_i, remote_d) = answers(queries)
+                if not np.array_equal(logits, oracle.infer_many(queries)):
                     print(f"[net-smoke] MISMATCH: classify chunk "
                           f"{chunk_index}")
                     bad += 1
-                remote_i, remote_d = client.topk_many(queries, args.k)
                 local_i, local_d = oracle.topk_many(queries, args.k)
                 if not (np.array_equal(remote_i, local_i)
                         and np.array_equal(remote_d, local_d)):
@@ -116,6 +131,12 @@ def main(argv: list[str] | None = None) -> int:
                 mismatches += drive(chunk)
             print(f"[net-smoke] phase 2: {args.chunks} chunks verified "
                   f"through the node loss")
+
+            mismatches += drive(2 * args.chunks,
+                                lambda queries: asyncio.run(
+                                    async_answers(queries)))
+            print(f"[net-smoke] async pass: 1 chunk x {args.batch} classify "
+                  f"+ top-k requests verified through AsyncNetClient")
 
             net = engine.cam.stats()["net"]
             requests = client.stats()["retry"]["requests"]

@@ -10,14 +10,18 @@ against in-process execution, which the smoke run verifies end to end:
   an optional length-prefixed binary framing for packed queries;
 * :class:`~repro.net.server.NetServer` -- a stdlib ``ThreadingHTTPServer``
   fronting any :class:`~repro.serve.engine.InferenceEngine` /
-  :class:`~repro.serve.server.MicroBatchServer` (``/v1/classify``,
-  ``/v1/topk``, ``/v1/healthz``, ``/v1/metrics``) or one shard replica
+  :class:`~repro.serve.server.MicroBatchServer` (``/v1/classify`` and
+  ``/v1/topk`` submit through the in-process client helpers,
+  ``/v1/healthz``, ``/v1/metrics``) or one shard replica
   (``/v1/shard/{write,search,topk,info}``);
 * :class:`~repro.net.client.NetClient` / :class:`~repro.net.async_client.AsyncNetClient`
-  -- the client SDK: one transport core (keep-alive pooling, connect/read
-  timeout split, retries with exponential backoff + decorrelated jitter,
-  a retry budget, idempotency keys) under sync and async facades that
-  mirror ``ServeClient`` / ``AsyncServeClient``;
+  -- the client SDK: the wire seam of the shared client core
+  (:class:`~repro.serve.client.ClientCore`) and the one async adapter
+  over it, so they answer exactly like ``ServeClient`` /
+  ``AsyncServeClient``, plus ``healthz``/``metrics``/``trace``/``slo``.
+  One transport core carries every call (keep-alive pooling,
+  connect/read timeout split, retries with exponential backoff +
+  decorrelated jitter, a retry budget, idempotency keys);
 * :class:`~repro.net.transport.FlakyTransport` -- deterministic seeded
   fault injection (drops / 5xx / delays / ``kill()``) below the retry
   layer, so failure-path tests never kill real processes;

@@ -1,11 +1,13 @@
 """Asyncio facade over the network client SDK.
 
 :class:`AsyncNetClient` is the awaitable twin of
-:class:`~repro.net.client.NetClient`, built the same way
-:class:`~repro.serve.async_client.AsyncServeClient` wraps the sync serve
-client: no second execution path, every request runs the sync client's
-retried transport call on the event loop's default executor (blocking
-socket I/O must stall a worker thread, never the loop)::
+:class:`~repro.net.client.NetClient`: the one
+:class:`~repro.serve.async_client.AsyncClient` adapter over the wire
+client, exactly as :class:`~repro.serve.async_client.AsyncServeClient` is
+over the in-process one.  No second execution path -- every request runs
+the sync client's retried transport call on the event loop's default
+executor (blocking socket I/O must stall a worker thread, never the
+loop)::
 
     from repro.net import AsyncNetClient
 
@@ -13,23 +15,19 @@ socket I/O must stall a worker thread, never the loop)::
         async with AsyncNetClient("http://127.0.0.1:8451") as client:
             logits = await client.infer(my_vector)
             indices, distances = await client.topk(my_vector, k=8)
+            spans = await client.trace()
 """
 
 from __future__ import annotations
 
-import asyncio
-import functools
-from typing import Any, Callable, Dict, Optional, Sequence, TypeVar
-
-import numpy as np
+from typing import Any, Optional
 
 from repro.net.client import NetClient
 from repro.net.transport import RetryPolicy, Transport
+from repro.serve.async_client import AsyncClient
 
-T = TypeVar("T")
 
-
-class AsyncNetClient:
+class AsyncNetClient(AsyncClient, sync=NetClient):
     """Awaitable request/response facade over a remote ``NetServer``.
 
     Parameters are those of :class:`~repro.net.client.NetClient` (exactly
@@ -45,77 +43,8 @@ class AsyncNetClient:
                  seed: Optional[int] = None,
                  tracer: Any = None,
                  tenant: Optional[str] = None) -> None:
-        self._sync = NetClient(base_url=base_url, transport=transport,
-                               retry=retry,
-                               connect_timeout_s=connect_timeout_s,
-                               read_timeout_s=read_timeout_s, seed=seed,
-                               tracer=tracer, tenant=tenant)
-
-    @property
-    def transport(self):
-        """The shared retrying transport (for counters and tests)."""
-        return self._sync.transport
-
-    @property
-    def tenant(self) -> Optional[str]:
-        """Tenant id stamped on every request (``X-Repro-Tenant``)."""
-        return self._sync.tenant
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    async def close(self) -> None:
-        """Release the pooled connection off the event loop."""
-        await self._run(self._sync.close)
-
-    async def __aenter__(self) -> "AsyncNetClient":
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.close()
-
-    # -- plumbing ----------------------------------------------------------------
-
-    async def _run(self, call: Callable[..., T], *args: Any,
-                   **kwargs: Any) -> T:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, functools.partial(call, *args, **kwargs))
-
-    # -- requests ----------------------------------------------------------------
-
-    async def infer(self, sample: np.ndarray) -> np.ndarray:
-        """Serve one sample remotely; awaits its logits row."""
-        return await self._run(self._sync.infer, sample)
-
-    async def infer_many(self, samples: Sequence[np.ndarray] | np.ndarray
-                         ) -> np.ndarray:
-        """Serve a sample batch; awaits the ``(n, output_dim)`` logits."""
-        return await self._run(self._sync.infer_many, samples)
-
-    async def topk(self, sample: np.ndarray,
-                   k: int) -> tuple[np.ndarray, np.ndarray]:
-        """One remote top-k request; awaits ``(indices, distances)``."""
-        return await self._run(self._sync.topk, sample, k)
-
-    async def topk_many(self, samples: Sequence[np.ndarray] | np.ndarray,
-                        k: int) -> tuple[np.ndarray, np.ndarray]:
-        """A remote top-k batch; awaits stacked ``(n, k_eff)`` arrays."""
-        return await self._run(self._sync.topk_many, samples, k)
-
-    # -- reporting ---------------------------------------------------------------
-
-    async def healthz(self) -> Dict[str, Any]:
-        """The server's liveness document."""
-        return await self._run(self._sync.healthz)
-
-    async def metrics(self) -> Dict[str, Any]:
-        """The server's metrics snapshot."""
-        return await self._run(self._sync.metrics)
-
-    async def slo(self) -> Dict[str, Any]:
-        """The server's burn-rate SLO verdicts."""
-        return await self._run(self._sync.slo)
-
-    def stats(self) -> Dict[str, Any]:
-        """Client-side transport counters (no I/O, stays sync)."""
-        return self._sync.stats()
+        super().__init__(NetClient(base_url=base_url, transport=transport,
+                                   retry=retry,
+                                   connect_timeout_s=connect_timeout_s,
+                                   read_timeout_s=read_timeout_s, seed=seed,
+                                   tracer=tracer, tenant=tenant))

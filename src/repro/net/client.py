@@ -1,12 +1,13 @@
-"""Synchronous client SDK over the wire protocol.
+"""The wire client: the shared client core over the HTTP protocol.
 
-:class:`NetClient` mirrors :class:`~repro.serve.client.ServeClient` --
-``infer`` / ``infer_many`` / ``topk`` / ``topk_many`` / ``stats`` -- but
-speaks HTTP to a :class:`~repro.net.server.NetServer` instead of holding
-the micro-batch server in-process.  One
-:class:`~repro.net.transport.RetryingTransport` over one pooled
-:class:`~repro.net.transport.HttpTransport` carries every call, so the
-client gets keep-alive, the connect/read timeout split, retries with
+:class:`NetClient` is a :class:`~repro.serve.client.ClientCore` -- the
+same ``infer`` / ``infer_many`` / ``topk`` / ``topk_many`` semantics as
+:class:`~repro.serve.client.ServeClient`, empty batches included -- whose
+seam speaks HTTP to a :class:`~repro.net.server.NetServer` instead of
+holding the micro-batch server in-process: one request carries the whole
+batch.  One :class:`~repro.net.transport.RetryingTransport` over one
+pooled :class:`~repro.net.transport.HttpTransport` carries every call, so
+the client gets keep-alive, the connect/read timeout split, retries with
 decorrelated jitter, a retry budget and per-request idempotency keys
 without any per-method wiring::
 
@@ -25,11 +26,12 @@ retry jitter.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Optional, Sequence
+from concurrent.futures import Future
+from contextlib import nullcontext
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.cam.topk import decode_topk_rows
 from repro.net import protocol
 from repro.obs import default_tracer, inject_headers
 from repro.net.transport import (
@@ -38,9 +40,10 @@ from repro.net.transport import (
     RetryPolicy,
     Transport,
 )
+from repro.serve.client import ClientCore
 
 
-class NetClient:
+class NetClient(ClientCore):
     """Blocking request/response facade over a remote :class:`NetServer`.
 
     Parameters
@@ -85,22 +88,16 @@ class NetClient:
             transport = HttpTransport(base_url,
                                       connect_timeout_s=connect_timeout_s,
                                       read_timeout_s=read_timeout_s)
+        super().__init__(tenant)
         rng = random.Random(seed) if seed is not None else None
         self.transport = RetryingTransport(transport, policy=retry, rng=rng)
         self.tracer = tracer if tracer is not None else default_tracer()
-        self.tenant = tenant
 
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
         """Release the pooled connection."""
         self.transport.close()
-
-    def __enter__(self) -> "NetClient":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -122,59 +119,33 @@ class NetClient:
             headers["Accept"] = accept
         if self.tenant is not None:
             headers[protocol.TENANT_HEADER] = self.tenant
-        if self.tracer is None:
-            headers = inject_headers(headers)  # forward any ambient context
-            response = self.transport.send(method, path, body, headers)
-            return protocol.parse_response(response.json())
-        verb = path.rsplit("/", 1)[-1]
-        with self.tracer.span(f"client.{verb}",
-                              attributes={"method": method,
-                                          "path": path}) as span:
-            headers = inject_headers(headers, span.context)
-            response = self.transport.send(method, path, body, headers)
+        span = (nullcontext() if self.tracer is None else self.tracer.span(
+            f"client.{path.rsplit('/', 1)[-1]}",
+            attributes={"method": method, "path": path}))
+        with span:
+            # Inside a client span the span is ambient; without a tracer
+            # this forwards whatever trace context the caller runs under.
+            response = self.transport.send(method, path, body,
+                                           inject_headers(headers))
             return protocol.parse_response(response.json())
 
-    # -- requests ----------------------------------------------------------------
+    def _submit(self, batch: np.ndarray, k: Optional[int]
+                ) -> tuple[List[Future], None]:
+        """One request carries the whole batch; its answer is already in."""
+        if k is None:
+            kind, decode = "classify", protocol.decode_classify_response
+            payload = protocol.encode_classify_request(batch)
+        else:
+            kind, decode = "topk", protocol.decode_topk_response
+            payload = protocol.encode_topk_request(batch, k)
+        rows = decode(self._call("POST", f"/v1/{kind}",
+                                 protocol.request_envelope(kind, payload)))
+        answered: Future = Future()
+        answered.set_result(rows)
+        return [answered], None
 
-    def infer(self, sample: np.ndarray) -> np.ndarray:
-        """Serve one sample remotely; returns its logits row."""
-        return self.infer_many(np.asarray(sample, dtype=np.float64)[None, :])[0]
-
-    def infer_many(self, samples: Sequence[np.ndarray] | np.ndarray
-                   ) -> np.ndarray:
-        """Serve a sample batch; returns the ``(n, output_dim)`` logits.
-
-        The whole batch travels in one request, so the server's
-        micro-batcher sees it together -- the remote analogue of
-        :meth:`ServeClient.infer_many`.
-        """
-        batch = np.asarray(samples, dtype=np.float64)
-        if batch.ndim == 1:
-            batch = batch[None, :]
-        result = self._call("POST", "/v1/classify", protocol.request_envelope(
-            "classify", protocol.encode_classify_request(batch)))
-        return protocol.decode_classify_response(result)
-
-    def topk(self, sample: np.ndarray,
-             k: int) -> tuple[np.ndarray, np.ndarray]:
-        """One remote top-k request; returns ``(indices, distances)``."""
-        indices, distances = self.topk_many(
-            np.asarray(sample, dtype=np.float64)[None, :], k)
-        return indices[0], distances[0]
-
-    def topk_many(self, samples: Sequence[np.ndarray] | np.ndarray,
-                  k: int) -> tuple[np.ndarray, np.ndarray]:
-        """A remote top-k batch; returns stacked ``(n, k_eff)`` arrays."""
-        batch = np.asarray(samples, dtype=np.float64)
-        if batch.ndim == 1:
-            batch = batch[None, :]
-        result = self._call("POST", "/v1/topk", protocol.request_envelope(
-            "topk", protocol.encode_topk_request(batch, k)))
-        rows = protocol.decode_topk_response(result)
-        if rows.shape[0] == 0:
-            empty = np.zeros((0, rows.shape[1] // 2), dtype=np.int64)
-            return empty, empty.copy()
-        return decode_topk_rows(rows)
+    def _rows(self, results: List[np.ndarray], k: Optional[int]) -> np.ndarray:
+        return results[0]
 
     # -- reporting ---------------------------------------------------------------
 

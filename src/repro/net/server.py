@@ -62,6 +62,7 @@ from repro.obs import (
     render_prometheus,
 )
 from repro.serve.batching import QueueFullError, ServeConfig
+from repro.serve.client import batch_rows, submit_batch
 from repro.serve.engine import InferenceEngine
 from repro.serve.server import MicroBatchServer
 from repro.serve.tenancy import (
@@ -395,48 +396,40 @@ class NetApp:
                   headers: Mapping[str, str]) -> Response:
         samples = protocol.decode_classify_request(
             protocol.parse_request(protocol.loads(body), "classify"))
-        context = protocol.parse_trace_header(
-            headers.get(protocol.TRACE_HEADER.lower()))
-        tenant = headers.get(protocol.TENANT_HEADER.lower())
-        with self._rpc_span("rpc.classify", headers,
-                            batch=int(samples.shape[0]),
-                            **({} if tenant is None
-                               else {"tenant": tenant})) as rpc:
-            trace = rpc if rpc is not None else context
-            if samples.shape[0] == 0:
-                output_dim = getattr(self.server.engine, "output_dim", 0)
-                logits = np.empty((0, output_dim), dtype=np.float64)
-            else:
-                futures = [self.server.submit(sample, timeout=self.timeout_s,
-                                              trace=trace, tenant=tenant)
-                           for sample in samples]
-                logits = np.stack([future.result(self.timeout_s)
-                                   for future in futures])
+        logits = self._serve_batch("rpc.classify", headers, samples)
         return self._ok_response(protocol.encode_classify_response(logits))
 
     def _topk(self, content_type: str, body: bytes,
               headers: Mapping[str, str]) -> Response:
         samples, k = protocol.decode_topk_request(
             protocol.parse_request(protocol.loads(body), "topk"))
+        rows = self._serve_batch("rpc.topk", headers, samples, k)
+        return self._ok_response(protocol.encode_topk_response(rows))
+
+    def _serve_batch(self, name: str, headers: Mapping[str, str],
+                     samples: np.ndarray, k: Optional[int] = None
+                     ) -> np.ndarray:
+        """One decoded batch through the in-process client helpers.
+
+        Runs under the ``name`` rpc span, with the wire's trace context
+        and ``X-Repro-Tenant`` forwarded to every submit.
+        """
         context = protocol.parse_trace_header(
             headers.get(protocol.TRACE_HEADER.lower()))
         tenant = headers.get(protocol.TENANT_HEADER.lower())
-        with self._rpc_span("rpc.topk", headers, batch=int(samples.shape[0]),
-                            k=int(k),
-                            **({} if tenant is None
-                               else {"tenant": tenant})) as rpc:
-            trace = rpc if rpc is not None else context
-            if samples.shape[0] == 0:
-                rows = np.zeros((0, 0), dtype=np.float64)
-            else:
-                futures = [self.server.submit_topk(sample, k,
-                                                   timeout=self.timeout_s,
-                                                   trace=trace,
-                                                   tenant=tenant)
-                           for sample in samples]
-                rows = np.stack([future.result(self.timeout_s)
-                                 for future in futures])
-        return self._ok_response(protocol.encode_topk_response(rows))
+        attributes: Dict[str, Any] = {"batch": int(samples.shape[0])}
+        if k is not None:
+            attributes["k"] = int(k)
+        if tenant is not None:
+            attributes["tenant"] = tenant
+        with self._rpc_span(name, headers, **attributes) as rpc:
+            futures = submit_batch(self.server, samples, k,
+                                   timeout=self.timeout_s,
+                                   trace=rpc if rpc is not None else context,
+                                   tenant=tenant)
+            return batch_rows(self.server.engine,
+                              [future.result(self.timeout_s)
+                               for future in futures], k)
 
     # -- shard plane -------------------------------------------------------------
 

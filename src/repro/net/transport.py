@@ -1,8 +1,10 @@
 """The transport core of the client SDK.
 
-One retry/pooling engine under every client-side surface (``NetClient``,
-``AsyncNetClient``, ``RemoteShardTransport``), split into three layers
-that stack through a single-method :class:`Transport` protocol:
+One retry/pooling engine under every client-side surface: the wire seam
+of the shared client core (``NetClient``, which ``AsyncNetClient`` runs
+off the event loop) and ``RemoteShardTransport``.  It is split into
+three layers that stack through a single-method :class:`Transport`
+protocol:
 
 * :class:`HttpTransport` -- the only layer that owns sockets.  One pooled
   ``http.client.HTTPConnection`` per transport with HTTP/1.1 keep-alive,

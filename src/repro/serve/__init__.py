@@ -18,7 +18,12 @@ request at a time.  This subsystem closes that gap:
   batch-size histogram, p50/p99 latency, throughput, cache hit rate;
 * :class:`~repro.serve.client.ServeClient` /
   :class:`~repro.serve.async_client.AsyncServeClient` -- the synchronous
-  and awaitable facades.
+  and awaitable facades.  Both are the shared client core
+  (:class:`~repro.serve.client.ClientCore`: one request surface, empty
+  batches and top-k decoding included) and its one async adapter
+  (:class:`~repro.serve.async_client.AsyncClient`); the in-process seam
+  is this server's futures.  :mod:`repro.net` specialises the same core
+  for the wire.
 
 Engines that outgrow one CAM array scale out through :mod:`repro.shard`:
 a :class:`~repro.shard.engine.ShardedEngine` serves through this subsystem

@@ -1,10 +1,22 @@
-"""Synchronous client facade over the micro-batching server.
+"""The client request surface, and its in-process specialisation.
 
-:class:`ServeClient` is the one-import entry point for callers that think
-in single requests: construct it from an engine (it owns a server's
-lifecycle) or attach it to an already-running :class:`MicroBatchServer`
-(shared by several clients), then call :meth:`infer` / :meth:`infer_many`
-and read :meth:`stats`.
+:class:`ClientCore` states the request semantics every client shares --
+sample-to-batch coercion (an empty sequence is an empty batch), submit
+the whole batch before waiting on any answer, the shape of an empty
+answer, top-k row decoding, the default tenant and the context-manager
+lifecycle -- once.  A client supplies one seam: :meth:`ClientCore._submit`
+(the blocking half of a request, returning futures plus the bound on
+waiting for them) and :meth:`ClientCore._rows` (the batch's rows from the
+futures' results).  :class:`~repro.serve.async_client.AsyncClient` is the
+one awaitable adapter over any such core.
+
+:class:`ServeClient` is the in-process client: its seam enqueues on a
+:class:`MicroBatchServer` and waits on the returned futures.  Construct
+it from an engine (it owns a server's lifecycle) or attach it to an
+already-running server (shared by several clients), then call
+:meth:`~ClientCore.infer` / :meth:`~ClientCore.infer_many` /
+:meth:`~ClientCore.topk` / :meth:`~ClientCore.topk_many` and read
+:meth:`ServeClient.stats`.
 
 ::
 
@@ -17,7 +29,8 @@ and read :meth:`stats`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence
+from concurrent.futures import Future
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +40,139 @@ from repro.serve.engine import InferenceEngine
 from repro.serve.server import MicroBatchServer
 
 
-class ServeClient:
+def as_batch(samples: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """``samples`` as one float64 batch: a lone sample is a one-row batch
+    and an empty sequence the empty ``(0, 0)`` batch."""
+    batch = np.asarray(samples, dtype=np.float64)
+    if batch.size == 0 and batch.ndim < 2:
+        return batch.reshape(0, 0)
+    return batch[None, :] if batch.ndim == 1 else batch
+
+
+def one_sample(sample: np.ndarray) -> np.ndarray:
+    """A single sample as a one-row batch (its shape is left to the server)."""
+    return np.asarray(sample, dtype=np.float64)[None]
+
+
+def submit_batch(server: MicroBatchServer, batch: np.ndarray,
+                 k: Optional[int] = None, *, timeout: Optional[float],
+                 trace: Any = None,
+                 tenant: Optional[str] = None) -> List["Future[np.ndarray]"]:
+    """Enqueue every sample of ``batch`` before any answer is awaited.
+
+    Classification requests, or top-k requests when ``k`` is given; the
+    micro-batcher sees the whole batch together.  ``timeout`` bounds each
+    enqueue under backpressure; ``trace``/``tenant`` are forwarded to
+    :meth:`MicroBatchServer.submit`.  An empty batch touches no queue.
+    """
+    if k is None:
+        return [server.submit(sample, timeout=timeout, trace=trace,
+                              tenant=tenant)
+                for sample in batch]
+    return [server.submit_topk(sample, k, timeout=timeout, trace=trace,
+                               tenant=tenant)
+            for sample in batch]
+
+
+def batch_rows(engine: Any, results: List[np.ndarray],
+               k: Optional[int] = None) -> np.ndarray:
+    """Stack per-sample answers into the batch's rows.
+
+    An empty batch still has the engine's width: ``(0, output_dim)``
+    logits, or ``(0, engine.topk_width(k))`` encoded top-k rows.
+    """
+    if results:
+        return np.stack(results)
+    if k is None:
+        return np.empty((0, getattr(engine, "output_dim", 0)),
+                        dtype=np.float64)
+    topk_width = getattr(engine, "topk_width", None)
+    width = topk_width(k) if callable(topk_width) else 0
+    return np.zeros((0, width), dtype=np.float64)
+
+
+class ClientCore:
+    """The request surface every client shares; subclasses supply the seam.
+
+    ``infer``/``topk`` serve one sample through ``infer_many``/
+    ``topk_many``.  The per-call ``options`` are the keyword arguments of
+    the subclass's ``_submit``, so a client accepts exactly the options
+    its seam defines (:class:`ServeClient`: ``timeout``,
+    ``enqueue_timeout``, ``tenant``; the wire client: none).
+    """
+
+    def __init__(self, tenant: Optional[str] = None) -> None:
+        self.tenant = tenant
+
+    # -- lifecycle ---------------------------------------------------------------
+
+    def close(self) -> None:
+        raise NotImplementedError
+
+    def __enter__(self) -> "ClientCore":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    # -- the seam ----------------------------------------------------------------
+
+    def _submit(self, batch: np.ndarray, k: Optional[int], **options: Any
+                ) -> tuple[List[Future], Optional[float]]:
+        """Send ``batch`` (top-k when ``k`` is given); return the futures of
+        its answers and the bound on waiting for each."""
+        raise NotImplementedError
+
+    def _rows(self, results: List[np.ndarray], k: Optional[int]) -> np.ndarray:
+        """The batch's ``(n, width)`` rows from the futures' results."""
+        raise NotImplementedError
+
+    def _answer(self, results: List[np.ndarray],
+                k: Optional[int]) -> Any:
+        """Logits, or decoded ``(indices, distances)`` for top-k."""
+        rows = self._rows(results, k)
+        return rows if k is None else decode_topk_rows(rows)
+
+    def _serve(self, samples: Sequence[np.ndarray] | np.ndarray,
+               k: Optional[int], options: Dict[str, Any]) -> Any:
+        futures, wait = self._submit(as_batch(samples), k, **options)
+        return self._answer([future.result(wait) for future in futures], k)
+
+    # -- requests ----------------------------------------------------------------
+
+    def infer(self, sample: np.ndarray, **options: Any) -> np.ndarray:
+        """Serve one sample; returns its logits row."""
+        return self.infer_many(one_sample(sample), **options)[0]
+
+    def infer_many(self, samples: Sequence[np.ndarray] | np.ndarray,
+                   **options: Any) -> np.ndarray:
+        """Serve several samples; returns the stacked ``(n, output_dim)`` logits.
+
+        The whole batch is submitted before any answer is awaited, so the
+        micro-batcher sees it together.  An empty input answers
+        ``(0, output_dim)``.
+        """
+        return self._serve(samples, None, options)
+
+    def topk(self, sample: np.ndarray, k: int,
+             **options: Any) -> tuple[np.ndarray, np.ndarray]:
+        """Serve one top-k retrieval request; returns ``(indices, distances)``.
+
+        ``indices`` are the global CAM row ids of the ``min(k, rows)`` best
+        matches (ascending by distance, ties toward lower row id) and
+        ``distances`` the sensed Hamming distances, both ``(k_eff,)``
+        ``int64`` arrays.
+        """
+        indices, distances = self.topk_many(one_sample(sample), k, **options)
+        return indices[0], distances[0]
+
+    def topk_many(self, samples: Sequence[np.ndarray] | np.ndarray, k: int,
+                  **options: Any) -> tuple[np.ndarray, np.ndarray]:
+        """Serve several top-k requests; returns stacked ``(n, k_eff)`` arrays."""
+        return self._serve(samples, k, options)
+
+
+class ServeClient(ClientCore):
     """Blocking request/response facade over a :class:`MicroBatchServer`.
 
     Parameters
@@ -56,6 +201,13 @@ class ServeClient:
         tenanted server (see :mod:`repro.serve.tenancy`); per-call
         ``tenant=`` overrides it.  ``None`` on an untenanted server is a
         no-op.
+
+    Every request method takes three per-call keywords.  ``timeout``
+    (default ``timeout_s``) bounds each wait for a result and
+    ``enqueue_timeout`` (default ``enqueue_timeout_s``) each enqueue under
+    backpressure; passing only ``timeout`` bounds both steps with it,
+    preserving the historical one-knob behaviour.  ``tenant`` overrides
+    the client's default tenant.
     """
 
     def __init__(self, engine: Optional[InferenceEngine] = None,
@@ -72,11 +224,11 @@ class ServeClient:
             raise ValueError("timeout_s must be positive")
         if enqueue_timeout_s is not None and enqueue_timeout_s <= 0:
             raise ValueError("enqueue_timeout_s must be positive")
+        super().__init__(tenant)
         self.timeout_s = float(timeout_s)
         self.enqueue_timeout_s = (float(enqueue_timeout_s)
                                   if enqueue_timeout_s is not None
                                   else self.timeout_s)
-        self.tenant = tenant
         self._owns_server = server is None
         if server is None:
             server = MicroBatchServer(engine, config=config, cache=cache,
@@ -85,20 +237,10 @@ class ServeClient:
             raise RuntimeError("attached server is not running")
         self.server = server
 
-    # -- lifecycle ---------------------------------------------------------------
-
     def close(self) -> None:
         """Stop the owned server (draining); attached servers are untouched."""
         if self._owns_server and self.server.running:
             self.server.stop(drain=True)
-
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- requests ----------------------------------------------------------------
 
     def _waits(self, timeout: Optional[float],
                enqueue_timeout: Optional[float]) -> tuple[float, float]:
@@ -109,88 +251,20 @@ class ServeClient:
                  else wait)
         return admit, wait
 
-    def infer(self, sample: np.ndarray,
-              timeout: Optional[float] = None,
-              enqueue_timeout: Optional[float] = None,
-              tenant: Optional[str] = None) -> np.ndarray:
-        """Serve one sample; blocks until its logits row is ready.
-
-        Two bounds, separately configurable: ``enqueue_timeout`` (default
-        ``enqueue_timeout_s``) caps the enqueue under backpressure (a full
-        queue with the ``"block"`` policy raises
-        :class:`~repro.serve.batching.QueueFullError` once it elapses) and
-        ``timeout`` (default ``timeout_s``) the wait for the result.
-        Passing only ``timeout`` bounds both steps with it, preserving the
-        historical one-knob behaviour.
-        """
+    def _submit(self, batch: np.ndarray, k: Optional[int],
+                timeout: Optional[float] = None,
+                enqueue_timeout: Optional[float] = None,
+                tenant: Optional[str] = None
+                ) -> tuple[List[Future], float]:
+        """Enqueue the batch under the per-call options (class docstring)."""
         admit, wait = self._waits(timeout, enqueue_timeout)
-        return self.server.submit(
-            sample, timeout=admit,
-            tenant=tenant if tenant is not None else self.tenant).result(wait)
-
-    def infer_many(self, samples: Sequence[np.ndarray] | np.ndarray,
-                   timeout: Optional[float] = None,
-                   enqueue_timeout: Optional[float] = None,
-                   tenant: Optional[str] = None) -> np.ndarray:
-        """Serve several samples; returns the stacked ``(n, output_dim)`` logits.
-
-        All samples are enqueued before the first result is awaited, so the
-        micro-batcher sees them together.  An empty input is served for
-        free: ``(0, output_dim)`` without touching the queue.  The bounds
-        apply per enqueue and per result wait as in :meth:`infer`.
-        """
-        samples = list(samples) if not isinstance(samples, np.ndarray) else samples
-        if len(samples) == 0:
-            output_dim = getattr(self.server.engine, "output_dim", 0)
-            return np.empty((0, output_dim), dtype=np.float64)
-        admit, wait = self._waits(timeout, enqueue_timeout)
-        futures = self.server.submit_many(
-            samples, timeout=admit,
+        futures = submit_batch(
+            self.server, batch, k, timeout=admit,
             tenant=tenant if tenant is not None else self.tenant)
-        return np.stack([future.result(wait) for future in futures])
+        return futures, wait
 
-    def topk(self, sample: np.ndarray, k: int,
-             timeout: Optional[float] = None,
-             enqueue_timeout: Optional[float] = None,
-             tenant: Optional[str] = None
-             ) -> tuple[np.ndarray, np.ndarray]:
-        """Serve one top-k retrieval request; returns ``(indices, distances)``.
-
-        ``indices`` are the global CAM row ids of the ``min(k, rows)`` best
-        matches (ascending by distance, ties toward lower row id) and
-        ``distances`` the sensed Hamming distances, both ``(k_eff,)``
-        ``int64`` arrays.  Timeout semantics match :meth:`infer`.
-        """
-        admit, wait = self._waits(timeout, enqueue_timeout)
-        row = self.server.submit_topk(
-            sample, k, timeout=admit,
-            tenant=tenant if tenant is not None else self.tenant).result(wait)
-        indices, distances = decode_topk_rows(row)
-        return indices[0], distances[0]
-
-    def topk_many(self, samples: Sequence[np.ndarray] | np.ndarray, k: int,
-                  timeout: Optional[float] = None,
-                  enqueue_timeout: Optional[float] = None,
-                  tenant: Optional[str] = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Serve several top-k requests; returns stacked ``(n, k_eff)`` arrays."""
-        samples = list(samples) if not isinstance(samples, np.ndarray) else samples
-        admit, wait = self._waits(timeout, enqueue_timeout)
-        if len(samples) == 0:
-            width = 0
-            topk_width = getattr(self.server.engine, "topk_width", None)
-            if callable(topk_width):
-                width = topk_width(k) // 2
-            empty = np.zeros((0, width), dtype=np.int64)
-            return empty, empty.copy()
-        resolved = tenant if tenant is not None else self.tenant
-        futures = [self.server.submit_topk(sample, k, timeout=admit,
-                                           tenant=resolved)
-                   for sample in samples]
-        rows = np.stack([future.result(wait) for future in futures])
-        return decode_topk_rows(rows)
-
-    # -- reporting ---------------------------------------------------------------
+    def _rows(self, results: List[np.ndarray], k: Optional[int]) -> np.ndarray:
+        return batch_rows(self.server.engine, results, k)
 
     def stats(self) -> Dict[str, Any]:
         """The server's merged metrics/cache/engine snapshot."""
