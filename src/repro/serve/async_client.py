@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.serve.batching import ServeConfig
-from repro.serve.client import ClientCore, ServeClient, as_batch, one_sample
+from repro.serve.client import ClientCore, ServeClient, as_batch
 from repro.serve.engine import InferenceEngine
 from repro.serve.server import MicroBatchServer
 
@@ -97,7 +97,7 @@ class AsyncClient:
 
     async def infer(self, sample: np.ndarray, **options: Any) -> np.ndarray:
         """Serve one sample; awaits its logits row."""
-        return (await self.infer_many(one_sample(sample), **options))[0]
+        return (await self.infer_many([sample], **options))[0]
 
     async def infer_many(self, samples: Sequence[np.ndarray] | np.ndarray,
                          **options: Any) -> np.ndarray:
@@ -107,8 +107,7 @@ class AsyncClient:
     async def topk(self, sample: np.ndarray, k: int,
                    **options: Any) -> tuple[np.ndarray, np.ndarray]:
         """One top-k request; awaits ``(indices, distances)``."""
-        indices, distances = await self.topk_many(one_sample(sample), k,
-                                                  **options)
+        indices, distances = await self.topk_many([sample], k, **options)
         return indices[0], distances[0]
 
     async def topk_many(self, samples: Sequence[np.ndarray] | np.ndarray,

@@ -30,6 +30,7 @@ already-running server (shared by several clients), then call
 from __future__ import annotations
 
 from concurrent.futures import Future
+from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -41,17 +42,15 @@ from repro.serve.server import MicroBatchServer
 
 
 def as_batch(samples: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """``samples`` as one float64 batch: a lone sample is a one-row batch
-    and an empty sequence the empty ``(0, 0)`` batch."""
+    """``samples`` as one float64 ``(n, d)`` batch.
+
+    A lone 1-D sample is a one-row batch; an empty sequence is the empty
+    ``(0, 0)`` batch, whose answer still has the engine's width.
+    """
     batch = np.asarray(samples, dtype=np.float64)
     if batch.size == 0 and batch.ndim < 2:
         return batch.reshape(0, 0)
     return batch[None, :] if batch.ndim == 1 else batch
-
-
-def one_sample(sample: np.ndarray) -> np.ndarray:
-    """A single sample as a one-row batch (its shape is left to the server)."""
-    return np.asarray(sample, dtype=np.float64)[None]
 
 
 def submit_batch(server: MicroBatchServer, batch: np.ndarray,
@@ -65,12 +64,8 @@ def submit_batch(server: MicroBatchServer, batch: np.ndarray,
     enqueue under backpressure; ``trace``/``tenant`` are forwarded to
     :meth:`MicroBatchServer.submit`.  An empty batch touches no queue.
     """
-    if k is None:
-        return [server.submit(sample, timeout=timeout, trace=trace,
-                              tenant=tenant)
-                for sample in batch]
-    return [server.submit_topk(sample, k, timeout=timeout, trace=trace,
-                               tenant=tenant)
+    submit = server.submit if k is None else partial(server.submit_topk, k=k)
+    return [submit(sample, timeout=timeout, trace=trace, tenant=tenant)
             for sample in batch]
 
 
@@ -142,7 +137,7 @@ class ClientCore:
 
     def infer(self, sample: np.ndarray, **options: Any) -> np.ndarray:
         """Serve one sample; returns its logits row."""
-        return self.infer_many(one_sample(sample), **options)[0]
+        return self.infer_many([sample], **options)[0]
 
     def infer_many(self, samples: Sequence[np.ndarray] | np.ndarray,
                    **options: Any) -> np.ndarray:
@@ -163,7 +158,7 @@ class ClientCore:
         ``distances`` the sensed Hamming distances, both ``(k_eff,)``
         ``int64`` arrays.
         """
-        indices, distances = self.topk_many(one_sample(sample), k, **options)
+        indices, distances = self.topk_many([sample], k, **options)
         return indices[0], distances[0]
 
     def topk_many(self, samples: Sequence[np.ndarray] | np.ndarray, k: int,

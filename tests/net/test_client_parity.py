@@ -43,7 +43,7 @@ EMPTY_BATCHES = ([], np.empty((0, GEOMETRY["input_dim"])))
 
 
 def public_methods(cls):
-    return {name for name, member in inspect.getmembers(cls, callable)
+    return {name for name, _ in inspect.getmembers(cls, callable)
             if not name.startswith("_")}
 
 
