@@ -20,6 +20,7 @@ test:
 # verified bit-identical to the in-process unsharded reference.
 exec-smoke:
 	REPRO_EXECUTOR=processes $(PYTHON) scripts/loadgen.py --quick --engine sharded --shards 4 --executor processes
+	$(PYTHON) examples/exec_demo.py
 
 # Tier-1 under line coverage (coverage.py when installed, else the stdlib
 # tracer in repro.devtools.linecov), failing below an 85% line-coverage

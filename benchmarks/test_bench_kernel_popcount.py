@@ -2,7 +2,7 @@
 
 Not a paper figure: measures the software kernel that stands in for the
 CAM's O(1) in-array Hamming search.  The packed kernel
-(:func:`repro.core.bitops.packed_hamming_matrix`) operates on ``uint64``
+(:func:`repro.bitops.packed_hamming_matrix`) operates on ``uint64``
 words (one popcount per 64 bits); the legacy path
 (:func:`repro.core.hashing.hamming_distance_matrix_unpacked`) is a dense
 +-1 int16 GEMM over unpacked bits.  ``scripts/bench.py`` runs the same
@@ -13,7 +13,7 @@ comparison across a larger grid and records the trajectory in
 import numpy as np
 import pytest
 
-from repro.core.bitops import pack_bits, packed_hamming_matrix
+from repro.bitops import pack_bits, packed_hamming_matrix
 from repro.core.hashing import hamming_distance_matrix_unpacked
 
 ROWS = 1024

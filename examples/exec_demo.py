@@ -5,9 +5,11 @@ Runs in a few seconds:
 1. the engine matrix: the same sharded search on ``inline``, ``threads``
    and ``processes`` -- bit-identical counts, because the plane only ever
    fans out pure XOR+popcount work;
-2. selection precedence: the ``executor=`` argument, the
-   ``REPRO_EXECUTOR`` environment variable, and the kernel-level hook on
-   :func:`~repro.bitops.packed_hamming_matrix`;
+2. what the plane adds: the packed kernel already spans the CPUs by
+   itself, so ``hamming_fanout`` on the process engine (worker spans
+   over published storage) must match one direct kernel call, and the
+   ``executor=`` argument beats the ``REPRO_EXECUTOR`` environment
+   variable;
 3. crash containment: a worker SIGKILLed mid-search surfaces as a typed
    :class:`~repro.exec.WorkerCrashError` on the raw pool, while the
    default :class:`~repro.exec.FallbackExecutor` wiring replays the batch
@@ -35,6 +37,7 @@ from repro.exec import (
     ProcessExecutor,
     WorkerCrashError,
     resolve_executor,
+    split_rows,
 )
 from repro.shard import ShardedCamPipeline
 
@@ -46,6 +49,13 @@ def shm_segments() -> list[str]:
                 if name.startswith("repro_exec_")]
     except FileNotFoundError:  # non-Linux: nothing to observe
         return []
+
+
+def check(ok: bool, what: str) -> bool:
+    """Pass ``ok`` through for printing; exit nonzero when it is false."""
+    if not ok:
+        raise SystemExit(f"exec demo: {what} failed")
+    return ok
 
 
 def main() -> None:
@@ -65,7 +75,8 @@ def main() -> None:
         pipeline.close()
         if reference is None:
             reference = counts
-        identical = np.array_equal(counts, reference)
+        identical = check(np.array_equal(counts, reference),
+                          f"{name} bit-identity")
         print(f"{name:>10}: counts identical to inline = {identical}, "
               f"energy = {energy:.1f} pJ")
 
@@ -73,15 +84,24 @@ def main() -> None:
     print("== 2. Picking the engine ==")
     packed_q = pack_bits(queries)
     packed_r = pack_bits(bits)
+    spans = split_rows(rows, 2)
     serial = packed_hamming_matrix(packed_q, packed_r)
-    via_arg = packed_hamming_matrix(packed_q, packed_r, executor="processes")
+    with resolve_executor("processes", workers=2) as engine:
+        handle = engine.publish(packed_r)
+        try:
+            spanned = np.concatenate(
+                engine.hamming_fanout(packed_q, handle, spans), axis=1)
+        finally:
+            handle.retire()
+    print(f"process spans {spans} == direct kernel: "
+          f"{check(np.array_equal(spanned, serial), 'span fan-out')}")
     os.environ[EXECUTOR_ENV] = "processes"
-    via_env = packed_hamming_matrix(packed_q, packed_r)
+    pinned = ShardedCamPipeline(total_rows=rows, word_bits=word_bits,
+                                num_shards=4, executor="inline")
+    print(f"{EXECUTOR_ENV}=processes, executor='inline' -> "
+          f"{pinned.stats()['executor']}")
+    pinned.close()
     del os.environ[EXECUTOR_ENV]
-    print(f"kernel via executor='processes' == serial: "
-          f"{np.array_equal(via_arg, serial)}")
-    print(f"kernel via {EXECUTOR_ENV}=processes   == serial: "
-          f"{np.array_equal(via_env, serial)}")
     print("precedence: executor= argument > REPRO_EXECUTOR > defaults")
 
     print()
@@ -90,7 +110,7 @@ def main() -> None:
     raw = ProcessExecutor(workers=2, crash_injector=injector)
     injector.arm(1)
     try:
-        raw.hamming_blocked(packed_q, packed_r)
+        raw.hamming_fanout(packed_q, packed_r, spans)
     except WorkerCrashError as error:
         print(f"raw pool: WorkerCrashError surfaced ({error})")
     raw.close()
@@ -98,16 +118,18 @@ def main() -> None:
     guarded = resolve_executor("processes", workers=2)  # FallbackExecutor
     guarded.primary.crash_injector = injector
     injector.arm(1)
-    replayed = guarded.hamming_blocked(packed_q, packed_r)
+    replayed = np.concatenate(
+        guarded.hamming_fanout(packed_q, packed_r, spans), axis=1)
     stats = guarded.stats()
     print(f"guarded pool: batch replayed inline, identical = "
-          f"{np.array_equal(replayed, serial)} "
+          f"{check(np.array_equal(replayed, serial), 'crash replay')} "
           f"(crashes={stats['worker_crashes']}, "
           f"fallback_batches={stats['fallback_batches']})")
     guarded.close()
 
     print()
     print("== 4. Lifecycle: publish once, republish on write, clean close ==")
+    before = set(shm_segments())
     pipeline = ShardedCamPipeline(total_rows=rows, word_bits=word_bits,
                                   num_shards=4, executor="processes",
                                   num_workers=2)
@@ -120,6 +142,7 @@ def main() -> None:
     pipeline.search_batch(queries)
     print(f"executor stats: {pipeline.stats()['executor_stats']}")
     pipeline.close()
+    check(set(shm_segments()) <= before, "segment cleanup")
     print(f"segments after close(): {len(shm_segments())} "
           f"(was {serving} while serving)")
 

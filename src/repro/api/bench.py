@@ -5,7 +5,7 @@ runs two suites and writes one machine-readable JSON file per suite at the
 repository root:
 
 * ``BENCH_kernels.json`` -- microbenchmarks of the Hamming kernels: the
-  packed XOR+popcount kernel (:func:`repro.core.bitops.packed_hamming_matrix`)
+  packed XOR+popcount kernel (:func:`repro.bitops.packed_hamming_matrix`)
   versus the legacy +-1 GEMM path
   (:func:`repro.core.hashing.hamming_distance_matrix_unpacked`) across a
   rows x hash-length grid, plus the packing cost itself.
@@ -36,7 +36,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.bitops import (
+from repro.bitops import (
     HAVE_BITWISE_COUNT,
     KERNEL_BLOCK_ROWS,
     accumulator_dtype,
@@ -433,11 +433,12 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
 
     # -- execution-plane worker scaling ----------------------------------------
     # The process engine at 1/2/4/8 workers on the acceptance workload
-    # (kernel/scaling/workers=N), against the serial packed kernel.  Row
-    # blocks write into a SharedMemory output segment, so the curve times
-    # compute, not result pickling; expect ~1x on single-core boxes and
-    # near-linear wins where cores exist.
-    from repro.exec import resolve_executor
+    # (kernel/scaling/workers=N), against the serial packed kernel: the
+    # store is published once and split into split_rows spans, the call
+    # a fused search on the process engine makes.  Expect ~1x on
+    # single-core boxes and near-linear wins where cores exist.
+    from repro.exec import resolve_executor, split_rows
+    from repro.shard.pipeline import FUSED_SPAN_MIN_ROWS
 
     rows, k = ACCEPTANCE_WORKLOAD
     scale_a = pack_bits(rng.integers(0, 2, size=(rows, k), dtype=np.uint8))
@@ -453,9 +454,15 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
     for workers in KERNEL_SCALING_WORKERS:
         engine = resolve_executor("processes", workers=workers,
                                   fallback=False)
+        handle = engine.publish(scale_b)
+        spans = split_rows(rows, workers,
+                           min_rows=min(rows, FUSED_SPAN_MIN_ROWS))
+
+        def spanned(e=engine, h=handle, s=spans):
+            return np.concatenate(e.hamming_fanout(scale_a, h, s), axis=1)
+
         try:
-            if not np.array_equal(engine.hamming_blocked(scale_a, scale_b),
-                                  serial_result):
+            if not np.array_equal(spanned(), serial_result):
                 raise AssertionError(
                     f"process engine ({workers} workers) diverged from the "
                     f"serial kernel at rows={rows}, k={k}")
@@ -463,9 +470,9 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
                 f"kernel/scaling/workers={workers}", "kernel",
                 {"rows_a": rows, "rows_b": rows, "hash_length": k,
                  "executor": "processes", "workers": workers},
-                lambda e=engine: e.hamming_blocked(scale_a, scale_b),
-                rounds=rounds)
+                spanned, rounds=rounds)
         finally:
+            handle.retire()
             engine.close()
         records.append(record)
         worker_scaling[f"workers={workers}"] = (

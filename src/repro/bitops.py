@@ -32,8 +32,7 @@ the answer.  ``num_threads=1`` keeps a call serial.
 This module is deliberately a *leaf*: it depends on NumPy only.  Both
 ``repro.core`` (hashing, simulator) and ``repro.cam`` (array storage and
 search) build on these kernels, so the implementation must not import
-either package; the canonical public path is :mod:`repro.core.bitops`,
-which re-exports everything defined here.
+either package.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ HAVE_BITWISE_COUNT: bool = hasattr(np, "bitwise_count")
 INT16_SAFE_MAX_BITS: int = int(np.iinfo(np.int16).max)
 
 #: Row-block size of the blocked kernel: the unit of work the kernel's own
-#: split and the execution-plane engines hand out.  Cache residency comes
-#: from the column tiling below, not from this bound.
+#: split hands out.  Cache residency comes from the column tiling below,
+#: not from this bound.
 KERNEL_BLOCK_ROWS: int = 512
 
 #: Target elements per kernel tile (block height x tile columns).  Each
@@ -79,40 +78,14 @@ KERNEL_TILE_ELEMENTS: int = 1 << 18
 KERNEL_MIN_TILE_COLUMNS: int = 8192
 
 #: Environment variable selecting the execution-plane engine
-#: (``inline`` / ``threads`` / ``processes``).  Defined here -- the leaf
-#: module -- so :mod:`repro.exec` can import it without a cycle; when it
-#: is set and the caller did not pin ``num_threads``, the pairwise kernel
-#: routes through :mod:`repro.exec` instead of its own CPU split.
+#: (``inline`` / ``threads`` / ``processes``) of sharded clusters.  The
+#: kernel never reads it; it is defined in this leaf module so
+#: :mod:`repro.exec` and its callers share one name without a cycle.
 EXECUTOR_ENV: str = "REPRO_EXECUTOR"
 
 _POOL_LOCK = threading.Lock()
 _POOL: ThreadPoolExecutor | None = None
 _USABLE_CPUS: int | None = None
-
-_PLANE_LOCK = threading.Lock()
-_PLANE_EXECUTORS: dict = {}
-
-
-def _plane_executor(spec):
-    """The shared execution-plane engine for ``spec``.
-
-    ``spec`` is an engine name or an :class:`repro.exec.Executor`
-    instance (returned as-is).  Named engines are created once and cached
-    for the life of the process: the process engine reaps its own idle
-    pool, so a cached instance costs nothing while unused.  The import is
-    deferred because :mod:`repro.exec` builds on this module.
-    """
-    from repro import exec as exec_plane
-
-    if not isinstance(spec, str):
-        return spec
-    name = exec_plane.resolve_executor_name(spec)
-    with _PLANE_LOCK:
-        engine = _PLANE_EXECUTORS.get(name)
-        if engine is None:
-            engine = exec_plane.resolve_executor(name)
-            _PLANE_EXECUTORS[name] = engine
-        return engine
 
 
 def usable_cpus() -> int:
@@ -379,7 +352,6 @@ def _even_groups(count: int, parts: int) -> list[tuple[int, int]]:
 
 def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
                           num_threads: int | None = None,
-                          executor=None,
                           out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise Hamming distances between two packed signature sets.
 
@@ -393,16 +365,6 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
         Cap on the CPUs the kernel spans.  ``None`` (default) or ``0``
         mean :func:`usable_cpus`; ``1`` keeps the call serial in the
         calling thread.
-    executor:
-        Execution-plane engine: an engine name (``"inline"``,
-        ``"threads"``, ``"processes"``) or an :class:`repro.exec.Executor`
-        instance.  When given, the row blocks run on that engine and
-        ``num_threads`` is ignored.  When ``None`` and ``num_threads`` is
-        also ``None``, the ``REPRO_EXECUTOR`` environment variable (if
-        set) selects the engine; an explicit ``num_threads`` pins the
-        kernel's own split, which is also what keeps process workers --
-        which inherit the environment across ``fork`` -- from
-        re-entering the plane recursively.
     out:
         Optional ``(rows_a, rows_b)`` integer array to write the distances
         into, as with a NumPy ufunc.  Its dtype must hold every count:
@@ -414,9 +376,9 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
     np.ndarray
         ``(rows_a, rows_b)`` distance matrix -- ``out`` when given, else a
         new ``int64`` array -- bit-exact against the naive XOR-sum over
-        the unpacked bits (every split and engine runs the same block
-        body over disjoint parts of the output, so serial, split and
-        process results are identical).
+        the unpacked bits (every split runs the same block body over
+        disjoint parts of the output, so serial and split results are
+        identical).
 
     The kernel blocks ``rows_a`` into :data:`KERNEL_BLOCK_ROWS` rows and
     tiles ``rows_b`` by :func:`tile_columns`, iterating over the (few)
@@ -449,15 +411,6 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
             raise ValueError(
                 f"out dtype {out.dtype} cannot hold {word_count}-word "
                 f"counts; use {acc_dtype} or wider")
-    if rows_a and rows_b:
-        if executor is None and num_threads is None:
-            executor = os.environ.get(EXECUTOR_ENV, "").strip() or None
-        if executor is not None:
-            counts = _plane_executor(executor).hamming_blocked(a, b)
-            if out is None:
-                return counts
-            out[...] = counts
-            return out
     if out is None:
         out = np.empty((rows_a, rows_b), dtype=np.int64)
     if rows_a == 0 or rows_b == 0:

@@ -6,7 +6,7 @@ the energy model and the functional inference simulator.
 """
 
 from repro.core.accelerator import DeepCAMSimulator, SimulationStats
-from repro.core.bitops import (
+from repro.bitops import (
     INT16_SAFE_MAX_BITS,
     pack_bits,
     packed_hamming_matrix,

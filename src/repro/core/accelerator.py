@@ -31,7 +31,7 @@ import numpy as np
 from repro.cam.dynamic import DynamicCam, DynamicCamConfig
 from repro.core.config import DeepCAMConfig
 from repro.core.context import ContextGenerator, LayerContext
-from repro.core.bitops import packed_hamming_matrix
+from repro.bitops import packed_hamming_matrix
 from repro.core.minifloat import MINIFLOAT8
 from repro.hw.cosine_unit import CosineUnit
 from repro.nn import functional as F

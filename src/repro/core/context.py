@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bitops import pack_bits
+from repro.bitops import pack_bits
 from repro.core.hashing import RandomProjectionHasher
 from repro.core.minifloat import MINIFLOAT8, Minifloat
 from repro.nn import functional as F

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.bitops import (
+from repro.bitops import (
     INT16_SAFE_MAX_BITS,
     pack_bits,
     packed_hamming_matrix,
@@ -249,7 +249,7 @@ def hamming_distance_matrix(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarra
         O(1) search per row of ``bits_b``.
 
     Dispatches to the packed XOR+popcount kernel
-    (:func:`repro.core.bitops.packed_hamming_matrix`); callers that already
+    (:func:`repro.bitops.packed_hamming_matrix`); callers that already
     hold packed words should call the kernel directly and skip the packing.
     """
     a = np.asarray(bits_a)

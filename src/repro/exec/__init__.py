@@ -1,6 +1,9 @@
-"""repro.exec -- the true-parallel execution plane.
+"""repro.exec -- the execution plane.
 
-Three interchangeable fan-out engines behind one interface::
+The packed kernel spans the usable CPUs by itself; the plane adds only
+what the kernel cannot do: process workers over zero-copy SharedMemory
+storage with crash replay, and object-task fan-out for ports.  Three
+interchangeable engines sit behind one interface::
 
     from repro.exec import resolve_executor
 
@@ -10,6 +13,8 @@ Three interchangeable fan-out engines behind one interface::
         counts = executor.hamming_fanout(queries, handle,
                                          [(0, 1024), (1024, 2048)])
 
+``inline`` and ``threads`` compute counts with one in-process kernel call
+per selector (capped at one CPU and at the worker budget respectively).
 Selection precedence: an explicit ``executor=`` argument, then the shard
 config, then the ``REPRO_EXECUTOR`` environment variable, then the
 ``"threads"`` default.  Results are bit-identical across engines by

@@ -1,21 +1,21 @@
 """The execution plane: one fan-out interface, three interchangeable engines.
 
-Every speedup the reproduction shipped before this module was algorithmic
--- the packed kernel, micro-batching, sharding and the partial gather all
-cut *work*, while the fan-outs that spread the remaining work across cores
-ran on ``ThreadPoolExecutor`` under the GIL and bought ~1x.  The paper's
-CAM banks search in true hardware parallel; this package is the software
-counterpart: the two hot fan-outs (kernel row blocks, shard ports) run
-behind one small :class:`Executor` interface with three implementations:
+The packed kernel (:func:`repro.bitops.packed_hamming_matrix`) spans the
+usable CPUs by itself, the software counterpart of CAM banks searching
+at the same time; it is the only in-process splitter of a count matrix.
+The plane keeps just the two jobs the kernel cannot do, behind one small
+:class:`Executor` interface with three implementations:
 
 * ``inline``    -- serial reference execution in the calling thread
                    (:class:`~repro.exec.inline.InlineExecutor`);
-* ``threads``   -- the pre-existing behaviour: a shared thread pool,
-                   effective only where NumPy releases the GIL
+* ``threads``   -- the same in-process kernel with the engine's worker
+                   budget as its CPU cap, plus a thread pool for object
+                   tasks -- ports that hold Python state or wait on I/O
                    (:class:`~repro.exec.threads.ThreadExecutor`);
 * ``processes`` -- ``multiprocessing`` workers that read the packed
                    ``uint64`` row storage zero-copy out of
-                   ``multiprocessing.shared_memory.SharedMemory`` segments
+                   ``multiprocessing.shared_memory.SharedMemory`` segments,
+                   with crash replay
                    (:class:`~repro.exec.processes.ProcessExecutor`).
 
 The engine is selected per call site (an ``executor=`` argument), per
@@ -31,14 +31,15 @@ from __future__ import annotations
 
 import os
 import threading
-from abc import ABC, abstractmethod
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-# Canonically defined in the leaf kernel module so it can consult the
-# plane without an import cycle; re-exported here as the public home.
+# Defined in the leaf kernel module, which cannot import this package;
+# re-exported here as the public home.
 from repro.bitops import EXECUTOR_ENV, usable_cpus
+from repro.exec import tasks
+from repro.exec.tasks import Selector
 # The leaf metrics module (not the repro.obs package) keeps the exec
 # plane import-light and cycle-free.
 from repro.obs.metrics import default_registry as _default_metrics_registry
@@ -48,10 +49,6 @@ EXECUTOR_NAMES: Tuple[str, ...] = ("inline", "threads", "processes")
 
 #: Default executor when neither argument nor environment chooses one.
 DEFAULT_EXECUTOR: str = "threads"
-
-#: A row selector: a contiguous ``(start, stop)`` span or an explicit
-#: ``int64`` array of row indices (strided shard plans).
-Selector = Union[Tuple[int, int], np.ndarray]
 
 
 class WorkerCrashError(RuntimeError):
@@ -126,14 +123,15 @@ class StorageHandle:
         """Free the backing storage (overridden by shared-memory handles)."""
 
 
-class Executor(ABC):
+class Executor:
     """One fan-out engine behind the execution plane.
 
     The interface is deliberately narrow and data-parallel: the only
     compute it fans out is ``popcount(queries XOR storage_rows)``, a pure
     function of two ``uint64`` matrices, so results cannot depend on the
     engine.  Everything stateful (sense amplifiers, energy accounting,
-    observers) stays in the caller.
+    observers) stays in the caller.  The base class is the in-process
+    engine; only the process engine overrides the count fan-out.
     """
 
     #: Registry name of the engine (``"inline"``/``"threads"``/``"processes"``).
@@ -165,27 +163,22 @@ class Executor(ABC):
 
     # -- fan-out primitives --------------------------------------------------------
 
-    @abstractmethod
     def hamming_fanout(self, queries: np.ndarray,
                        storage: Union[np.ndarray, StorageHandle],
                        selectors: Sequence[Selector]) -> List[np.ndarray]:
         """Mismatch counts of ``queries`` against each selected row set.
 
         Returns one ``(num_queries, len(selector))`` ``int64`` matrix per
-        selector -- the scatter half of a shard fan-out, or the column
-        blocks of a fused search.
+        selector -- the scatter half of a shard fan-out.  In process, each
+        selector is one kernel call in the calling thread, spanning at
+        most :attr:`workers` CPUs.
         """
-
-    @abstractmethod
-    def hamming_blocked(self, a_packed: np.ndarray,
-                        b_packed: Union[np.ndarray, StorageHandle]) -> np.ndarray:
-        """Full pairwise ``(rows_a, rows_b)`` distance matrix, row-blocked.
-
-        The kernel-side port: ``rows_a`` splits into cache-sized blocks
-        that run on the engine (the same spans the serial kernel uses), so
-        the output is bit-identical to
-        :func:`repro.bitops.packed_hamming_matrix`.
-        """
+        data = self.as_handle(storage).array
+        normalized = [tasks.normalize_selector(selector, data.shape[0])
+                      for selector in selectors]
+        return [tasks.count_rows(data, selector, queries,
+                                 num_threads=self.workers)
+                for selector in normalized]
 
     def run_tasks(self, fns: Sequence[Callable[[], Any]]) -> List[Any]:
         """Generic object-task fan-out (ports holding Python state).
@@ -218,9 +211,8 @@ def split_rows(total_rows: int, parts: int,
     """Contiguous ``(start, stop)`` spans covering ``total_rows``.
 
     At most ``parts`` spans, each at least ``min_rows`` tall (except when
-    ``total_rows`` itself is smaller) -- the splitter both the fused
-    column fan-out and the process kernel blocks use, so span arithmetic
-    lives in exactly one place.
+    ``total_rows`` itself is smaller) -- the worker spans of a fused
+    search on the process engine.
     """
     if total_rows <= 0:
         return []
@@ -335,10 +327,6 @@ class FallbackExecutor(Executor):
     def hamming_fanout(self, queries, storage, selectors):
         return self._guarded(
             lambda engine: engine.hamming_fanout(queries, storage, selectors))
-
-    def hamming_blocked(self, a_packed, b_packed):
-        return self._guarded(
-            lambda engine: engine.hamming_blocked(a_packed, b_packed))
 
     def run_tasks(self, fns):
         return self._guarded(lambda engine: engine.run_tasks(fns))

@@ -3,17 +3,13 @@
 ``inline`` is both the baseline the other engines are measured against
 and the crash-containment fallback of the process engine -- it has no
 pool, no workers and no state, so it can never fail for infrastructure
-reasons.
+reasons.  Its count fan-out is the base class's in-process kernel call,
+capped at one CPU.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
-
-import numpy as np
-
-from repro.exec import tasks
-from repro.exec.base import Executor, Selector, StorageHandle
+from repro.exec.base import Executor
 
 
 class InlineExecutor(Executor):
@@ -24,24 +20,3 @@ class InlineExecutor(Executor):
 
     def __init__(self) -> None:
         super().__init__(workers=1)
-
-    def hamming_fanout(self, queries: np.ndarray,
-                       storage: Union[np.ndarray, StorageHandle],
-                       selectors: Sequence[Selector]) -> List[np.ndarray]:
-        handle = self.as_handle(storage)
-        data = handle.array
-        rows = data.shape[0]
-        return [tasks.count_rows(
-                    data, tasks.normalize_selector(selector, rows), queries)
-                for selector in selectors]
-
-    def hamming_blocked(self, a_packed: np.ndarray,
-                        b_packed: Union[np.ndarray, StorageHandle]) -> np.ndarray:
-        a = np.ascontiguousarray(a_packed, dtype=np.uint64)
-        b = self.as_handle(b_packed).array
-        out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
-        if out.size == 0:
-            return out
-        for start, stop in tasks.kernel_spans(a.shape[0]):
-            tasks.fill_block(a, b, out, start, stop)
-        return out

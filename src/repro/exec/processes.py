@@ -1,8 +1,9 @@
 """The process engine: true-parallel fan-out over SharedMemory storage.
 
-The GIL caps the thread engine at ~1x on CPU-bound popcount work; this
-engine sidesteps it with ``multiprocessing`` workers.  The design keeps
-the inter-process traffic asymptotically small:
+The in-process engines run the packed kernel in the caller's process;
+this engine runs it in ``multiprocessing`` workers, one storage span or
+shard selector per task.  The design keeps the inter-process traffic
+asymptotically small:
 
 * **storage is published once** -- :meth:`ProcessExecutor.publish` copies
   the packed ``uint64`` row matrix into one
@@ -11,10 +12,6 @@ the inter-process traffic asymptotically small:
   every subsequent search (an ``np.ndarray`` view over the mapped
   buffer); only the (small) query batch and the per-task counts cross
   the pipe.
-* **kernel outputs are written in place** -- the blocked pairwise kernel
-  allocates a shared output segment and each worker writes its row block
-  directly into it, so the ``(rows_a, rows_b)`` matrix never transits a
-  pickle.
 * **workers are lazy and reaped** -- the pool spawns on first task,
   survives across storage swaps and rebalances, and an idle timer
   shuts it down after :attr:`ProcessExecutor.idle_reap_s` without
@@ -58,7 +55,6 @@ from repro.exec.base import (
     StorageHandle,
     WorkerCrashError,
     resolve_workers,
-    split_rows,
 )
 
 #: Default idle window after which the worker pool is reaped.
@@ -146,9 +142,9 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     return segment
 
 
-def _view(name: str, shape: Tuple[int, ...], dtype: str) -> np.ndarray:
-    """Zero-copy ndarray view over an attached segment."""
-    return np.ndarray(shape, dtype=np.dtype(dtype), buffer=_attach(name).buf)
+def _view(name: str, shape: Tuple[int, ...]) -> np.ndarray:
+    """Zero-copy ``uint64`` view over an attached segment."""
+    return np.ndarray(shape, dtype=np.uint64, buffer=_attach(name).buf)
 
 
 def _maybe_crash(crash: bool) -> None:
@@ -161,23 +157,8 @@ def _task_count_rows(name: str, shape: Tuple[int, int], selector: Selector,
                      queries: np.ndarray, crash: bool = False) -> np.ndarray:
     """Worker body of :meth:`ProcessExecutor.hamming_fanout` (one selector)."""
     _maybe_crash(crash)
-    storage = _view(name, shape, "uint64")
+    storage = _view(name, shape)
     return tasks.count_rows(storage, selector, queries)
-
-
-def _task_fill_block(b_name: str, b_shape: Tuple[int, int],
-                     out_name: str, out_shape: Tuple[int, int],
-                     a_block: np.ndarray, start: int,
-                     crash: bool = False) -> None:
-    """Worker body of :meth:`ProcessExecutor.hamming_blocked` (one block).
-
-    The block result is written straight into the shared output segment;
-    nothing but the (small) ``a`` block and this ``None`` cross the pipe.
-    """
-    _maybe_crash(crash)
-    b = _view(b_name, b_shape, "uint64")
-    out = _view(out_name, out_shape, "int64")
-    tasks.fill_span(a_block, b, out[start:start + a_block.shape[0]])
 
 
 # -- parent side -----------------------------------------------------------------
@@ -351,46 +332,6 @@ class ProcessExecutor(Executor):
                 _task_count_rows,
                 [(name, shape, selector, packed) for selector in normalized])
         finally:
-            handle.release()
-            if transient:
-                handle.retire()
-
-    def hamming_blocked(self, a_packed: np.ndarray,
-                        b_packed: Union[np.ndarray, StorageHandle]) -> np.ndarray:
-        a = np.ascontiguousarray(a_packed, dtype=np.uint64)
-        handle, transient = self._shared(b_packed)
-        handle.acquire()
-        out_shm: Optional[shared_memory.SharedMemory] = None
-        try:
-            rows_a, rows_b = a.shape[0], handle.rows
-            out = np.empty((rows_a, rows_b), dtype=np.int64)
-            if out.size == 0:
-                return out
-            out_shm = shared_memory.SharedMemory(
-                create=True, name=_segment_name(), size=out.nbytes)
-            out_view = np.ndarray(out.shape, dtype=np.int64, buffer=out_shm.buf)
-            try:
-                # Workers fill disjoint row spans of the shared output, so
-                # the full matrix never crosses a pickle; one span per
-                # worker bounds the per-task ``a``-block pickles, and each
-                # worker re-chunks its span into cache-sized blocks.
-                spans = split_rows(rows_a, self.workers,
-                                   min_rows=min(rows_a, 64))
-                self._submit_all(
-                    _task_fill_block,
-                    [(handle.segment_name, tuple(handle.array.shape),
-                      out_shm.name, out.shape, a[start:stop], start)
-                     for start, stop in spans])
-                out[...] = out_view
-            finally:
-                # The view must drop before close(), else the mapping's
-                # memoryview refuses to release.
-                del out_view
-            return out
-        finally:
-            if out_shm is not None:
-                out_shm.close()
-                out_shm.unlink()
             handle.release()
             if transient:
                 handle.retire()

@@ -75,9 +75,11 @@ class ServeConfig:
         one-shot flood traffic from evicting the working set.
     executor:
         Execution-plane engine the served engine's fan-outs should use
-        (``"inline"``, ``"threads"`` or ``"processes"``).  ``None``
-        (default) leaves the engine's own configuration -- and the
-        ``REPRO_EXECUTOR`` environment variable -- in charge.  Purely a
+        (``"inline"`` and ``"threads"`` cap the in-process kernel at one
+        CPU and at the worker budget; ``"processes"`` fans out to
+        workers).  ``None`` (default) leaves the engine's own
+        configuration -- and the ``REPRO_EXECUTOR`` environment
+        variable -- in charge.  Purely a
         deployment knob carried to engine builders (the load generator
         and benches thread it into
         :func:`repro.shard.engine.build_demo_sharded_engine`); the

@@ -49,8 +49,11 @@ class ShardedEngine(CamPipelineEngine):
     executor:
         Execution-plane engine for the cluster fan-outs (``"inline"``,
         ``"threads"``, ``"processes"`` or a ready
-        :class:`repro.exec.Executor`); ``None`` defers to
-        ``REPRO_EXECUTOR`` and then to the pre-plane defaults.
+        :class:`repro.exec.Executor`).  In-process engines run fused
+        searches as one kernel call capped at their worker count; only
+        ``"processes"`` splits the store.  ``None`` defers to
+        ``REPRO_EXECUTOR`` and then to the defaults (fused searches on
+        the kernel's own CPU split, ports on threads).
     num_shard_workers:
         Worker budget of the cluster's plane engine (``None``/``0`` size
         to the machine; ``1`` fans out serially).

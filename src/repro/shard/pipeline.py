@@ -30,14 +30,14 @@ not -- takes its counts from one provider (``_fanout``) with two sources:
 
 * **the packed store** -- the pipeline's packed ``(total_rows, words)``
   matrix, already in global row order.  ``"fused"`` mode (the default)
-  splits it into worker spans, or runs one vectorised XOR+popcount when
-  no plane engine is configured: the shards search *in parallel in O(1)*
-  on real hardware, so simulating them as N little kernels is pure
-  overhead.  Under the ``processes`` engine, ``"ports"`` mode splits the
-  same store by shard selectors, read zero-copy from a SharedMemory
-  segment in worker processes.  Either way energy/latency are accounted
-  per selected shard replica analytically, and counts are bit-identical
-  to the per-port path because XOR+popcount is row-wise.
+  runs one vectorised XOR+popcount over it, which spans the CPUs by
+  itself: the shards search *in parallel in O(1)* on real hardware, so
+  simulating them as N little kernels is pure overhead.  Only the
+  ``processes`` engine splits the store, into worker spans in fused mode
+  and by shard selectors in ``"ports"`` mode, read zero-copy from a
+  SharedMemory segment in worker processes.  Either way energy/latency
+  are accounted per selected shard replica analytically, and counts are
+  bit-identical to the per-port path because XOR+popcount is row-wise.
 * **the ports** -- hardware-faithful per-port execution: each selected
   replica's array runs its own kernel through one per-port call seam,
   fanned out on the :mod:`repro.exec` plane (``inline``, or ``threads``
@@ -137,9 +137,9 @@ PortFactory = Callable[[int], Any]
 #: Fan-out execution modes (see the module docstring).
 FANOUT_MODES = ("fused", "ports")
 
-#: Smallest storage span worth handing to a plane worker in fused mode;
+#: Smallest storage span worth handing to a process worker in fused mode;
 #: below this the fan-out overhead dwarfs the kernel and the search runs
-#: as a single span (serial for every engine).
+#: as a single task.
 FUSED_SPAN_MIN_ROWS = 256
 
 
@@ -203,13 +203,16 @@ class ShardedCamPipeline:
         Execution-plane engine for the fan-outs: ``"inline"``,
         ``"threads"``, ``"processes"`` or a ready
         :class:`repro.exec.Executor` instance (whose lifecycle the caller
-        then owns).  ``None`` defers to the ``REPRO_EXECUTOR``
+        then owns).  A fused search on an in-process engine is one
+        kernel call over the whole store, capped at the engine's worker
+        count (``inline`` = 1 CPU); only ``processes`` splits it into
+        worker spans.  ``None`` defers to the ``REPRO_EXECUTOR``
         environment variable; when that is unset too, ports mode fans
-        out on the default thread engine and fused mode makes one
-        kernel call over the whole store per search, which itself spans
-        the usable CPUs (see :func:`repro.bitops.packed_hamming_matrix`).
-        The process engine is wrapped in the crash-containment fallback,
-        so a killed worker degrades to a bit-identical inline replay.
+        out on the default thread engine and fused mode's one kernel
+        call spans the usable CPUs (see
+        :func:`repro.bitops.packed_hamming_matrix`).  The process engine
+        is wrapped in the crash-containment fallback, so a killed worker
+        degrades to a bit-identical inline replay.
     num_workers:
         Worker budget of the plane engine (threads or processes).
         ``None``/``0`` mean one worker per CPU; ``1`` keeps every
@@ -388,12 +391,13 @@ class ShardedCamPipeline:
         """Plane decisions for one search; the caller holds the state lock.
 
         Returns ``(plane, handle, shared)``.  ``plane`` is ``None`` only
-        for fused mode with no configured engine (the legacy single
-        in-process kernel).  ``handle`` is *acquired* for the caller
-        whenever the fan-out reads published storage -- fused mode on a
-        configured engine, or the process engine's shared ports path --
-        and must be released when the search finishes; the acquire is
-        what keeps a concurrently retired segment alive until then.
+        for fused mode with no configured engine (the direct kernel).
+        ``handle`` is *acquired* for the caller whenever the fan-out
+        reads published storage -- the process engine, in fused mode or
+        on the shared ports path -- and must be released when the search
+        finishes; the acquire is what keeps a concurrently retired
+        segment alive until then.  An in-process fused search reads the
+        store snapshot directly and needs no handle.
         ``shared`` selects the ports path that computes counts from the
         published global storage with parent-side accounting.
         """
@@ -401,6 +405,8 @@ class ShardedCamPipeline:
             if self._executor_spec is None:
                 return None, None, False
             plane = self._get_plane_locked()
+            if plane.in_process:
+                return plane, None, False
             handle = self._ensure_handle_locked(plane)
             handle.acquire()
             return plane, handle, False
@@ -416,24 +422,26 @@ class ShardedCamPipeline:
                       storage: Union[np.ndarray, StorageHandle],
                       plane: Optional[Executor],
                       narrow: bool = False) -> np.ndarray:
-        """The fused kernel, spanned across the plane when one is configured.
+        """The fused kernel over the whole store.
 
-        Splitting the *storage* rows (the long axis) into per-worker
-        column blocks and concatenating is bit-identical to the single
-        kernel call -- every count is an independent ``popcount(XOR)``
-        -- and parallelises even small query batches.  ``narrow`` keeps
-        the in-process kernel's counts in its accumulator dtype
+        In process -- no engine, ``inline`` or ``threads`` -- this is one
+        kernel call over the store snapshot, which splits its own work
+        across at most ``plane.workers`` CPUs (all usable CPUs without an
+        engine).  ``narrow`` keeps its counts in the accumulator dtype
         (``uint16`` for any practical width) instead of widening them to
-        ``int64``; the plane's blocks are ``int64`` either way.
+        ``int64``.  The process engine splits the published storage rows
+        (the long axis) into per-worker spans and concatenates their
+        ``int64`` blocks -- bit-identical, because every count is an
+        independent ``popcount(XOR)``.
         """
-        if plane is None:
-            if not narrow:
-                return packed_hamming_matrix(packed, storage)
-            out = np.empty((packed.shape[0], storage.shape[0]),
-                           dtype=accumulator_dtype(packed.shape[1]))
-            return packed_hamming_matrix(packed, storage, out=out)
-        data = storage.array if isinstance(storage, StorageHandle) else storage
-        total = int(data.shape[0])
+        if plane is None or plane.in_process:
+            workers = None if plane is None else plane.workers
+            out = (np.empty((packed.shape[0], storage.shape[0]),
+                            dtype=accumulator_dtype(packed.shape[1]))
+                   if narrow else None)
+            return packed_hamming_matrix(packed, storage,
+                                         num_threads=workers, out=out)
+        total = storage.rows
         spans = split_rows(total, plane.workers,
                            min_rows=min(total, FUSED_SPAN_MIN_ROWS))
         blocks = plane.hamming_fanout(packed, storage, spans)
@@ -706,8 +714,8 @@ class ShardedCamPipeline:
         Snapshots the structure, picks one replica per shard and takes raw
         mismatch counts from one of two sources:
 
-        * **the packed store** -- fused mode splits it into worker spans
-          (or runs one kernel when no plane is configured); the process
+        * **the packed store** -- fused mode runs one kernel over it (the
+          process engine splits it into worker spans); the process
           engine's analytic ports split it by shard selectors.  Energy and
           latency accrue analytically per selected port.
         * **the ports** -- every selected port runs its own kernel through

@@ -150,7 +150,7 @@ class TestSuites:
         assert json.loads((tmp_path / "BENCH_serve.json").read_text()) == document
 
     def test_threaded_records_skip_single_block_cells(self):
-        from repro.core.bitops import KERNEL_BLOCK_ROWS
+        from repro.bitops import KERNEL_BLOCK_ROWS
         records, summary = kernel_microbench(
             grid=((64, 32), (KERNEL_BLOCK_ROWS * 2, 32)), rounds=1,
             thread_counts=(2,))

@@ -8,7 +8,7 @@ import pytest
 
 import repro.bitops as bitops_impl
 import repro.exec.base as exec_base
-from repro.core.bitops import (
+from repro.bitops import (
     INT16_SAFE_MAX_BITS,
     POPCOUNT_LUT,
     accumulator_dtype,
@@ -273,6 +273,16 @@ class TestThreadedKernel:
         with pytest.raises(ValueError):
             bitops_impl.resolve_num_threads("many")
 
+    def test_kernel_reads_no_executor_environment(self, rng, monkeypatch):
+        # The execution-plane variable selects cluster engines only; the
+        # kernel splits its own work whatever it holds.
+        bits_a = rng.integers(0, 2, size=(5, 70), dtype=np.uint8)
+        bits_b = rng.integers(0, 2, size=(40, 70), dtype=np.uint8)
+        monkeypatch.setenv(bitops_impl.EXECUTOR_ENV, "warp-drive")
+        assert np.array_equal(
+            packed_hamming_matrix(pack_bits(bits_a), pack_bits(bits_b)),
+            naive_hamming(bits_a, bits_b))
+
     def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(bitops_impl, "_USABLE_CPUS", None)
         if hasattr(os, "sched_getaffinity"):
@@ -373,10 +383,6 @@ class TestTiledKernel:
         narrow = np.empty(expected.shape, dtype=np.uint16)
         packed_hamming_matrix(pack_bits(bits_a), pack_bits(bits_b),
                               num_threads=workers or 1, out=narrow)
-        assert np.array_equal(narrow, expected)
-        narrow[...] = 0
-        packed_hamming_matrix(pack_bits(bits_a), pack_bits(bits_b),
-                              executor="inline", out=narrow)
         assert np.array_equal(narrow, expected)
 
     def test_tile_width_comes_from_the_operand_shapes(self):

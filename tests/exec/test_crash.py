@@ -21,6 +21,7 @@ from repro.exec import (
     InlineExecutor,
     ProcessExecutor,
     WorkerCrashError,
+    split_rows,
 )
 from repro.shard import ShardedCamPipeline
 
@@ -33,6 +34,12 @@ def shm_segments():
                       if name.startswith("repro_exec_"))
     except FileNotFoundError:
         return []
+
+
+def spanned(engine, a, b):
+    """The count matrix of ``a`` vs ``b``, fanned out over two row spans."""
+    return np.concatenate(
+        engine.hamming_fanout(a, b, split_rows(b.shape[0], 2)), axis=1)
 
 
 def crashing_executor(workers=2):
@@ -50,13 +57,13 @@ class TestRawCrashSurfaces:
             b = rng.integers(0, 2 ** 63, size=(700, 2), dtype=np.uint64)
             injector.arm(1)
             with pytest.raises(WorkerCrashError):
-                engine.hamming_blocked(a, b)
+                engine.hamming_fanout(a, b, split_rows(b.shape[0], 2))
             assert injector.injected == 1
             stats = engine.stats()
             assert stats["worker_crashes"] == 1
             assert not stats["pool_alive"]  # the broken pool was discarded
             # The next search respawns a pool lazily and succeeds.
-            assert np.array_equal(engine.hamming_blocked(a, b),
+            assert np.array_equal(spanned(engine, a, b),
                                   packed_hamming_matrix(a, b))
             assert engine.stats()["pools_spawned"] == 2
         finally:
@@ -83,12 +90,12 @@ class TestFallbackReplay:
             b = rng.integers(0, 2 ** 63, size=(900, 3), dtype=np.uint64)
             reference = packed_hamming_matrix(a, b)
             injector.arm(1)
-            assert np.array_equal(engine.hamming_blocked(a, b), reference)
+            assert np.array_equal(spanned(engine, a, b), reference)
             stats = engine.stats()
             assert stats["worker_crashes"] == 1
             assert stats["fallback_batches"] == 1
             # Uncrashed searches go back to the (respawned) primary.
-            assert np.array_equal(engine.hamming_blocked(a, b), reference)
+            assert np.array_equal(spanned(engine, a, b), reference)
             assert engine.stats()["fallback_batches"] == 1
         finally:
             engine.close()

@@ -55,10 +55,12 @@ class TestEngineBitIdentity:
     @pytest.mark.parametrize("rows_a,rows_b,words", [
         (1, 1, 1), (7, 13, 3), (700, 90, 2), (65, 1300, 4),
     ])
-    def test_hamming_blocked_matches_kernel(self, rng, engine,
-                                            rows_a, rows_b, words):
+    def test_spanned_fanout_matches_kernel(self, rng, engine,
+                                           rows_a, rows_b, words):
+        # The worker spans of a fused search, concatenated, are the kernel.
         a, b = packed(rng, rows_a, words), packed(rng, rows_b, words)
-        assert np.array_equal(engine.hamming_blocked(a, b),
+        blocks = engine.hamming_fanout(a, b, split_rows(rows_b, 2))
+        assert np.array_equal(np.concatenate(blocks, axis=1),
                               packed_hamming_matrix(a, b))
 
     @pytest.mark.parametrize("engine", EXECUTORS, indirect=True)
@@ -88,8 +90,6 @@ class TestEngineBitIdentity:
     def test_empty_query_batch_is_a_shaped_noop(self, rng, engine):
         queries = np.zeros((0, 2), dtype=np.uint64)
         storage = packed(rng, 32, 2)
-        out = engine.hamming_blocked(queries, storage)
-        assert out.shape == (0, 32) and out.dtype == np.int64
         blocks = engine.hamming_fanout(queries, storage, [(0, 32)])
         assert blocks[0].shape == (0, 32)
 
@@ -101,30 +101,6 @@ class TestEngineBitIdentity:
         with pytest.raises(ValueError):
             engine.hamming_fanout(queries, storage,
                                   [np.array([8], dtype=np.int64)])
-
-
-class TestKernelExecutorHook:
-    def test_explicit_executor_argument(self, rng):
-        a, b = packed(rng, 40, 2), packed(rng, 600, 2)
-        reference = packed_hamming_matrix(a, b)
-        for name in EXECUTOR_NAMES:
-            assert np.array_equal(
-                packed_hamming_matrix(a, b, executor=name), reference)
-
-    def test_environment_hook_routes_through_plane(self, rng, monkeypatch):
-        a, b = packed(rng, 30, 2), packed(rng, 300, 2)
-        reference = packed_hamming_matrix(a, b)
-        monkeypatch.setenv(EXECUTOR_ENV, "processes")
-        assert np.array_equal(packed_hamming_matrix(a, b), reference)
-        # An explicit num_threads pins the legacy path (and is what keeps
-        # fork-inheriting workers from re-entering the plane).
-        assert np.array_equal(packed_hamming_matrix(a, b, num_threads=1),
-                              reference)
-
-    def test_bad_environment_name_raises(self, rng, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "warp-drive")
-        with pytest.raises(ValueError, match="executor"):
-            packed_hamming_matrix(packed(rng, 2, 1), packed(rng, 2, 1))
 
 
 class TestResolution:

@@ -180,13 +180,13 @@ class TestExecCrashCounters:
         class CrashingPrimary(InlineExecutor):
             name = "processes"
 
-            def hamming_blocked(self, a, b):
+            def hamming_fanout(self, queries, storage, selectors):
                 raise WorkerCrashError("injected")
 
         engine = FallbackExecutor(CrashingPrimary(), InlineExecutor())
         a = rng.integers(0, 2 ** 63, size=(4, 2), dtype=np.uint64)
         b = rng.integers(0, 2 ** 63, size=(16, 2), dtype=np.uint64)
-        result = engine.hamming_blocked(a, b)
+        (result,) = engine.hamming_fanout(a, b, [(0, 16)])
         assert result.shape == (4, 16)
         labels = {"engine": "processes"}
         crashes = fresh_default_registry.get("exec_worker_crashes", labels)

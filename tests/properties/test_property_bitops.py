@@ -17,7 +17,7 @@ from repro.cam.array import CamArray
 from repro.cam.dynamic import DynamicCam, DynamicCamConfig
 from repro.cam.sense_amplifier import ClockedSelfReferencedSenseAmp
 from repro.core.accelerator import DeepCAMSimulator
-from repro.core.bitops import pack_bits, packed_hamming_matrix, unpack_bits
+from repro.bitops import pack_bits, packed_hamming_matrix, unpack_bits
 from repro.core.config import DeepCAMConfig
 from repro.core.hashing import hamming_distance_matrix_unpacked
 from repro.nn.models.lenet import build_lenet5
