@@ -37,7 +37,13 @@ Quickstart::
     print(result.rows[0]["speedup_vs_eyeriss_as"])
 """
 
-from repro.api import (
+from repro.blas import cap_blas_threads
+
+# Before anything runs a GEMM: see repro.blas for why BLAS stays on the
+# calling thread.
+cap_blas_threads()
+
+from repro.api import (  # noqa: E402 -- after the BLAS cap
     Backend,
     CallbackObserver,
     CostReport,
