@@ -7,7 +7,9 @@ real JSON round-trip; it then runs one tiny registered experiment per
 backend family (cycle models, energy models, the CAM overhead model and the
 PIM comparison) and checks the :class:`ExperimentResult` schema the same
 way.  Finally it runs one micro inference through the DeepCAM backend to
-check the :class:`RunResult` path.
+check the :class:`RunResult` path, and recomputes every layer's products of
+that pass through the per-element cosine model to check that the tabulated
+read-out still equals it bit for bit.
 
 Intended for CI / ``make check``:
 
@@ -75,13 +77,49 @@ def check_inference(api) -> None:
     model = build_lenet5(num_classes=4, input_size=28, width_multiplier=0.25, seed=0)
     batch = np.random.default_rng(0).normal(size=(2, 1, 28, 28))
     backend = api.deepcam(rows=64, hash_length=256)
-    result = backend.run(model, batch)
+    layers = capture_layer_products(backend.simulator)
+    try:
+        result = backend.run(model, batch)
+    finally:
+        del backend.simulator._approximate_matmul
     check(isinstance(result, api.RunResult), "deepcam run() must return a RunResult")
     check(result.num_samples == 2, "RunResult.num_samples mismatch")
     check(result.stats.get("cam_searches", 0) > 0, "simulator stats missing")
     rebuilt = api.RunResult.from_dict(json.loads(json.dumps(result.to_dict())))
     check(rebuilt == result, "RunResult JSON round-trip changed the value")
     print(f"  [ok] deepcam inference: predictions={result.predictions}")
+    check_readout(layers, backend.config.use_exact_cosine)
+
+
+def capture_layer_products(simulator) -> list:
+    """Record ``(weights, activations, products)`` of every simulated layer."""
+    layers = []
+    readout = simulator._approximate_matmul
+
+    def recording(weights, activations, layer_name):
+        products = readout(weights, activations, layer_name)
+        layers.append((weights, activations, products))
+        return products
+
+    simulator._approximate_matmul = recording
+    return layers
+
+
+def check_readout(layers, use_exact: bool) -> None:
+    """Each layer's products equal the per-element model path bit for bit."""
+    from repro.core.hashing import hamming_distance_matrix_unpacked
+    from repro.hw.cosine_unit import CosineUnit
+
+    unit = CosineUnit(use_exact=use_exact)
+    check(len(layers) > 0, "the simulator ran no approximate layers")
+    for weights, activations, products in layers:
+        distances = hamming_distance_matrix_unpacked(weights.bits, activations.bits)
+        thetas = np.pi * distances / weights.hash_length
+        cosines = np.asarray(unit(thetas.ravel())).reshape(thetas.shape)
+        expected = np.outer(weights.norms, activations.norms) * cosines
+        check(np.array_equal(products.view(np.uint64), expected.view(np.uint64)),
+              f"read-out diverged from the cosine model at k={weights.hash_length}")
+    print(f"  [ok] read-out equals the per-element model on {len(layers)} layers")
 
 
 def main() -> int:

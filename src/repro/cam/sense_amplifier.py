@@ -99,6 +99,11 @@ class ClockedSelfReferencedSenseAmp:
         self.sampling_frequency_ghz = float(sampling_frequency_ghz)
         self.timing_noise_sigma_ps = float(timing_noise_sigma_ps)
         self._rng = np.random.default_rng(seed)
+        # A noise-free read-out is a pure function of the mismatch count,
+        # so it is tabulated once through the model itself; a noisy one
+        # must draw its noise per row and keeps the model path.
+        self._table = (self._measure(np.arange(self.word_bits + 1))[2]
+                       if self.timing_noise_sigma_ps == 0.0 else None)
 
     # -- analog model ------------------------------------------------------------
 
@@ -184,9 +189,20 @@ class ClockedSelfReferencedSenseAmp:
 
         Unlike :meth:`read_many` this never materialises per-row
         :class:`SenseAmpReading` objects, so it is the hot path the CAM
-        array uses for every search.
+        array uses for every search.  A noise-free amplifier gathers its
+        tabulated read-out (any integer dtype, ``uint16`` counts included,
+        indexes it directly); a noisy one runs :meth:`_measure`, drawing
+        its noise in row order.  Returns a flat ``int64`` array.
         """
-        return self._measure(true_distances)[2]
+        if self._table is None:
+            return self._measure(true_distances)[2]
+        counts = np.asarray(true_distances).ravel()
+        if counts.dtype.kind not in "ui":
+            counts = counts.astype(np.int64)
+        if counts.size and ((counts.dtype.kind == "i" and counts.min() < 0)
+                            or counts.max() > self.word_bits):
+            raise ValueError("hamming distance must be in [0, word_bits]")
+        return self._table[counts]
 
     # -- characterisation ------------------------------------------------------------
 

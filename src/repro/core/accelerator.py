@@ -33,7 +33,7 @@ from repro.core.config import DeepCAMConfig
 from repro.core.context import ContextGenerator, LayerContext
 from repro.bitops import packed_hamming_matrix
 from repro.core.minifloat import MINIFLOAT8
-from repro.hw.cosine_unit import CosineUnit
+from repro.hw.cosine_unit import CosineUnit, cosine_table, gather_cosines
 from repro.nn import functional as F
 from repro.nn.layers import (
     AvgPool2d,
@@ -203,9 +203,11 @@ class DeepCAMSimulator:
             self.stats.cam_fills += fills
             self.stats.cam_searches += fills * weight_contexts.count
 
-        thetas = np.pi * distances / hash_length
-        cosines = np.asarray(self.cosine_unit(thetas.ravel())).reshape(thetas.shape)
-        products = np.outer(weight_contexts.norms, activation_contexts.norms) * cosines
+        # The cosine unit is called once per layer, on the k + 1 angles a
+        # distance can map to; every product then gathers its cosine.
+        table = cosine_table(self.cosine_unit, hash_length)
+        products = np.multiply.outer(weight_contexts.norms, activation_contexts.norms)
+        products *= gather_cosines(table, distances)
 
         self.stats.dot_product_layers += 1
         self.stats.contexts_hashed += activation_contexts.count

@@ -35,7 +35,7 @@ from repro.core.hashing import (
     hamming_distance_matrix,
 )
 from repro.core.minifloat import Minifloat
-from repro.hw.cosine_unit import CosineUnit
+from repro.hw.cosine_unit import CosineUnit, cosine_table, gather_cosines
 
 
 def algebraic_dot(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
@@ -203,15 +203,17 @@ class ApproximateDotProduct:
         bits_stat = self.hasher.hash_batch(stat)
         bits_srch = self.hasher.hash_batch(srch)
         distances = hamming_distance_matrix(bits_stat, bits_srch)
-        thetas = np.pi * distances / self.hash_length
-        cosines = np.asarray(self.cosine_unit(thetas.ravel())).reshape(thetas.shape)
+        cosines = gather_cosines(cosine_table(self.cosine_unit, self.hash_length),
+                                 distances)
 
         norms_stat = np.linalg.norm(stat, axis=1)
         norms_srch = np.linalg.norm(srch, axis=1)
         if self.norm_format is not None:
             norms_stat = self.norm_format.quantize_array(norms_stat)
             norms_srch = self.norm_format.quantize_array(norms_srch)
-        return np.outer(norms_stat, norms_srch) * cosines
+        products = np.multiply.outer(norms_stat, norms_srch)
+        products *= cosines
+        return products
 
 
 def dot_product_error_sweep(x: Sequence[float] | np.ndarray,

@@ -30,7 +30,7 @@ from repro.core.minifloat import MINIFLOAT8, Minifloat
 from repro.crossbar.crossbar import CrossbarConfig, HashingCrossbar
 from repro.hw.adder_tree import AdderTree
 from repro.hw.components import CostLibrary, DEFAULT_COST_LIBRARY
-from repro.hw.cosine_unit import CosineUnit
+from repro.hw.cosine_unit import CosineUnit, cosine_table, gather_cosines
 from repro.hw.sqrt import DigitalSquareRoot
 
 
@@ -61,6 +61,7 @@ class PostProcessor:
             raise ValueError("hash_length must be positive")
         self.hash_length = int(hash_length)
         self.cosine_unit = CosineUnit(use_exact=use_exact_cosine)
+        self._cosines = cosine_table(self.cosine_unit, self.hash_length)
         self.library = library if library is not None else DEFAULT_COST_LIBRARY
         self.energy = PostProcessEnergyBreakdown()
 
@@ -80,19 +81,17 @@ class PostProcessor:
         query_norms:
             ``(queries,)`` norms of the broadcast contexts.
         """
-        distances = np.asarray(hamming_distances, dtype=np.float64)
+        distances = np.asarray(hamming_distances)
         if distances.ndim != 2:
             raise ValueError("hamming_distances must be a 2-D matrix")
-        if np.any(distances < 0) or np.any(distances > self.hash_length):
-            raise ValueError("hamming distances must lie in [0, hash_length]")
         s_norms = np.asarray(stationary_norms, dtype=np.float64).ravel()
         q_norms = np.asarray(query_norms, dtype=np.float64).ravel()
         if s_norms.size != distances.shape[0] or q_norms.size != distances.shape[1]:
             raise ValueError("norm vectors must match the distance matrix shape")
 
-        thetas = np.pi * distances / self.hash_length
-        cosines = np.asarray(self.cosine_unit(thetas.ravel())).reshape(thetas.shape)
-        products = np.outer(s_norms, q_norms) * cosines
+        # gather_cosines range-checks the distances against [0, k].
+        products = np.multiply.outer(s_norms, q_norms)
+        products *= gather_cosines(self._cosines, distances)
 
         count = distances.size
         self.energy.cosine_pj += self.cosine_unit.hardware_cost().energy_pj * count

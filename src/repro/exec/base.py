@@ -168,10 +168,11 @@ class Executor:
                        selectors: Sequence[Selector]) -> List[np.ndarray]:
         """Mismatch counts of ``queries`` against each selected row set.
 
-        Returns one ``(num_queries, len(selector))`` ``int64`` matrix per
-        selector -- the scatter half of a shard fan-out.  In process, each
-        selector is one kernel call in the calling thread, spanning at
-        most :attr:`workers` CPUs.
+        Returns one ``(num_queries, len(selector))`` count matrix per
+        selector, narrow (:func:`~repro.bitops.accumulator_dtype`) -- the
+        scatter half of a shard fan-out.  In process, each selector is one
+        kernel call in the calling thread, spanning at most
+        :attr:`workers` CPUs.
         """
         data = self.as_handle(storage).array
         normalized = [tasks.normalize_selector(selector, data.shape[0])

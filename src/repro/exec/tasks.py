@@ -15,7 +15,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from repro.bitops import packed_hamming_matrix
+from repro.bitops import accumulator_dtype, packed_hamming_matrix
 
 #: A row selector: a contiguous ``(start, stop)`` span or an explicit
 #: ``int64`` index array (strided shard plans).
@@ -50,12 +50,16 @@ def count_rows(storage: np.ndarray, selector: Selector,
                queries: np.ndarray, num_threads: int = 1) -> np.ndarray:
     """One fan-out task: mismatch counts of ``queries`` vs selected rows.
 
-    Returns the ``(num_queries, height)`` ``int64`` count matrix; the
-    engine never touches the numbers, so the gather is a pure
-    concatenation.
+    Returns the ``(num_queries, height)`` count matrix in the narrow
+    :func:`~repro.bitops.accumulator_dtype` (``uint16`` for any practical
+    width), which is what a process worker pickles back; the engine never
+    touches the numbers, so the gather is a pure concatenation.
     """
     rows = select_storage_rows(storage, selector)
+    out = np.empty((queries.shape[0], rows.shape[0]),
+                   dtype=accumulator_dtype(queries.shape[1]))
     # Serial by default: the engine running this task owns the
     # parallelism (one task per process worker), so the kernel must not
     # span the CPUs again underneath it.
-    return packed_hamming_matrix(queries, rows, num_threads=num_threads)
+    return packed_hamming_matrix(queries, rows, num_threads=num_threads,
+                                 out=out)

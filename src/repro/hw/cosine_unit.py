@@ -16,13 +16,21 @@ The third case folds the obtuse range back onto the acute range by symmetry,
 so the hardware only ever evaluates one multiply and one add.  This module
 provides a vectorised functional model, an exact-cosine reference for error
 analysis, and the digital cost of the unit.
+
+The *hardware* evaluates the PWL form once per output element, and the
+energy and cycle models charge it that way.  The software model, however,
+only ever feeds the unit angles ``pi * d / k`` for integer Hamming
+distances ``d`` in ``[0, k]``, so the whole read-out is a ``k + 1``-entry
+function: :func:`cosine_table` evaluates the unit once at every count and
+:func:`gather_cosines` indexes it, bit-identical to calling the unit per
+element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -127,3 +135,35 @@ class CosineUnit:
             latency_cycles=float(iterations),
             leakage_uw=adder.leakage_uw * 3,
         )
+
+
+def cosine_table(unit: Callable[[np.ndarray], np.ndarray],
+                 hash_length: int) -> np.ndarray:
+    """``unit(pi * d / k)`` at every Hamming distance ``d`` in ``0..k``.
+
+    ``unit`` is any cosine callable (a :class:`CosineUnit` or a wrapper of
+    one); it is called exactly once, on the whole angle grid, so the table
+    equals the unit's per-element answers bit for bit.
+    """
+    if hash_length <= 0:
+        raise ValueError("hash_length must be positive")
+    thetas = np.pi * np.arange(hash_length + 1) / hash_length
+    return np.asarray(unit(thetas), dtype=np.float64)
+
+
+def gather_cosines(table: np.ndarray, distances: np.ndarray) -> np.ndarray:
+    """``table[distances]``, refusing distances outside ``[0, k]``.
+
+    Integer-valued float distances are accepted; a negative count never
+    wraps round to the table's last entries.
+    """
+    counts = np.asarray(distances)
+    if counts.dtype.kind not in "ui":
+        as_int = counts.astype(np.int64)
+        if not np.array_equal(as_int, counts):
+            raise ValueError("hamming distances must be integers")
+        counts = as_int
+    if counts.size and ((counts.dtype.kind == "i" and counts.min() < 0)
+                        or counts.max() >= table.size):
+        raise ValueError("hamming distances must lie in [0, hash_length]")
+    return table[counts]

@@ -34,7 +34,7 @@ from repro.cam.sense_amplifier import ClockedSelfReferencedSenseAmp
 from repro.cam.topk import TopKResult, encode_topk_rows, validate_k
 from repro.core.hashing import RandomProjectionHasher
 from repro.core.minifloat import Minifloat
-from repro.hw.cosine_unit import CosineUnit
+from repro.hw.cosine_unit import CosineUnit, cosine_table, gather_cosines
 
 
 #: Process-unique tokens for engines whose outputs have no content identity.
@@ -164,6 +164,7 @@ class CamPipelineEngine:
         self.cam = self._build_cam_port(cam_rows)
         self.cam.write_rows(self.hasher.hash_batch(protos))
         self.cosine_unit = CosineUnit(use_exact=use_exact_cosine)
+        self._cosines = cosine_table(self.cosine_unit, self.hash_length)
         self.norm_format = quantize_norms
         norms = np.linalg.norm(protos, axis=1)
         if self.norm_format is not None:
@@ -233,11 +234,9 @@ class CamPipelineEngine:
         if prepared.size == 0:
             return np.empty((0, self.classes), dtype=np.float64)
         counts = self._search_counts(prepared)
-        thetas = np.pi * counts / self.hash_length
-        cosines = np.asarray(self.cosine_unit(thetas.ravel())).reshape(thetas.shape)
-        return (prepared.norms[:, None]
-                * self._prototype_norms[None, :]
-                * cosines)
+        logits = np.multiply.outer(prepared.norms, self._prototype_norms)
+        logits *= gather_cosines(self._cosines, counts)
+        return logits
 
     def _search_counts(self, prepared: PreparedBatch) -> np.ndarray:
         """Sensed Hamming distances of the prototype rows for one batch.

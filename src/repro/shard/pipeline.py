@@ -420,25 +420,23 @@ class ShardedCamPipeline:
 
     def _fused_counts(self, packed: np.ndarray,
                       storage: Union[np.ndarray, StorageHandle],
-                      plane: Optional[Executor],
-                      narrow: bool = False) -> np.ndarray:
-        """The fused kernel over the whole store.
+                      plane: Optional[Executor]) -> np.ndarray:
+        """The fused kernel over the whole store, in narrow counts.
 
         In process -- no engine, ``inline`` or ``threads`` -- this is one
         kernel call over the store snapshot, which splits its own work
         across at most ``plane.workers`` CPUs (all usable CPUs without an
-        engine).  ``narrow`` keeps its counts in the accumulator dtype
-        (``uint16`` for any practical width) instead of widening them to
-        ``int64``.  The process engine splits the published storage rows
+        engine).  The process engine splits the published storage rows
         (the long axis) into per-worker spans and concatenates their
-        ``int64`` blocks -- bit-identical, because every count is an
-        independent ``popcount(XOR)``.
+        blocks -- bit-identical, because every count is an independent
+        ``popcount(XOR)``.  Either way the counts stay in the accumulator
+        dtype (``uint16`` for any practical width), which top-k selects
+        over and the sense amplifier's table is indexed by directly.
         """
         if plane is None or plane.in_process:
             workers = None if plane is None else plane.workers
-            out = (np.empty((packed.shape[0], storage.shape[0]),
-                            dtype=accumulator_dtype(packed.shape[1]))
-                   if narrow else None)
+            out = np.empty((packed.shape[0], storage.shape[0]),
+                           dtype=accumulator_dtype(packed.shape[1]))
             return packed_hamming_matrix(packed, storage,
                                          num_threads=workers, out=out)
         total = storage.rows
@@ -699,7 +697,9 @@ class ShardedCamPipeline:
 
         Only a *noisy* amplifier has RNG state to keep race-free; the
         noise-free default digitises lock-free so concurrent replica
-        searches never serialise on the O(batch x rows) pass.
+        searches never serialise on the O(batch x rows) pass.  Narrow
+        counts go to the amplifier as they are: a noise-free one gathers
+        its read-out table with them directly.
         """
         noisy = getattr(self.sense_amp, "timing_noise_sigma_ps", 0.0) > 0
         with _traced_stage("digitise", values=int(counts.size)):
@@ -755,14 +755,15 @@ class ShardedCamPipeline:
                     if fanout == "fused":
                         counts = self._fused_counts(
                             packed, handle if handle is not None else store,
-                            plane, narrow=select)
+                            plane)
                     else:
                         counts = plan.gather_columns(
                             plane.hamming_fanout(
                                 packed, handle,
                                 [self._shard_selector(spec)
                                  for spec in plan.shards]),
-                            np.empty((num_queries, self.rows), dtype=np.int64))
+                            np.empty((num_queries, self.rows),
+                                     dtype=accumulator_dtype(packed.shape[1])))
                     elapsed_ms = (time.perf_counter() - started) * 1e3
                     costs = []
                     for shard, replica in enumerate(selection):

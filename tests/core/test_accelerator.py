@@ -5,8 +5,12 @@ import pytest
 
 from repro.core.accelerator import DeepCAMSimulator
 from repro.core.config import DeepCAMConfig
+from repro.core.hashing import hamming_distance_matrix_unpacked
+from repro.core.minifloat import MINIFLOAT8
+from repro.hw.cosine_unit import CosineUnit
 from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.nn.models.resnet import build_resnet18
+from repro.serve.engine import CamPipelineEngine
 
 
 @pytest.fixture
@@ -132,3 +136,60 @@ class TestResNetSupport:
         simulator.run(model, rng.normal(size=(1, 3, 32, 32)))
         # stem + 16 block convs + 3 downsample convs + classifier = 21.
         assert simulator.stats.dot_product_layers == 21
+
+
+def _model_path_products(left_bits, right_bits, left_norms, right_norms,
+                         hash_length, use_exact):
+    """The read-out recomputed per element: GEMM Hamming distances, the
+    angle ``pi * d / k`` and one cosine-unit call over every product."""
+    distances = hamming_distance_matrix_unpacked(left_bits, right_bits)
+    thetas = np.pi * distances / hash_length
+    cosines = np.asarray(CosineUnit(use_exact=use_exact)(thetas.ravel()))
+    return np.outer(left_norms, right_norms) * cosines.reshape(thetas.shape)
+
+
+class _ModelPathSimulator(DeepCAMSimulator):
+    """The simulator with a read-out that shares none of its code."""
+
+    def _approximate_matmul(self, weight_contexts, activation_contexts, layer_name):
+        return _model_path_products(
+            weight_contexts.bits, activation_contexts.bits,
+            weight_contexts.norms, activation_contexts.norms,
+            weight_contexts.hash_length, self.config.use_exact_cosine)
+
+
+class TestReadOutOracle:
+    """Tabulated read-outs are bit-identical to the per-element model."""
+
+    @pytest.mark.parametrize("use_exact", [False, True])
+    def test_simulator_logits_match_model_path(self, rng, use_exact):
+        model = Sequential(
+            Conv2d(1, 4, kernel_size=3, padding=1, rng=rng),
+            ReLU(),
+            Conv2d(4, 4, kernel_size=3, padding=1, rng=rng),
+            ReLU(),
+            MaxPool2d(2),
+            Flatten(),
+            Linear(4 * 4 * 4, 3, rng=rng),
+        )
+        images = rng.normal(size=(3, 1, 8, 8))
+        config = DeepCAMConfig(use_exact_cosine=use_exact).with_hash_lengths(
+            {"layer0": 256, "layer1": 768, "layer2": 512})
+        logits = DeepCAMSimulator(config).run(model, images)
+        expected = _ModelPathSimulator(config).run(model, images)
+        assert np.array_equal(logits.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("use_exact", [False, True])
+    @pytest.mark.parametrize("hash_length", [256, 768])
+    def test_engine_logits_match_model_path(self, rng, use_exact, hash_length):
+        prototypes = rng.normal(size=(12, 40))
+        queries = rng.normal(size=(9, 40))
+        engine = CamPipelineEngine(prototypes, hash_length=hash_length, seed=7,
+                                   use_exact_cosine=use_exact,
+                                   quantize_norms=MINIFLOAT8)
+        prepared = engine.prepare(queries)
+        logits = engine.execute(prepared)
+        expected = _model_path_products(
+            engine.hasher.hash_batch(queries), engine.hasher.hash_batch(prototypes),
+            prepared.norms, engine._prototype_norms, hash_length, use_exact)
+        assert np.array_equal(logits.view(np.uint64), expected.view(np.uint64))

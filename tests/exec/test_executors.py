@@ -80,6 +80,14 @@ class TestEngineBitIdentity:
             assert np.array_equal(block, packed_hamming_matrix(queries, rows))
 
     @pytest.mark.parametrize("engine", EXECUTORS, indirect=True)
+    def test_fanout_blocks_are_narrow_counts(self, rng, engine):
+        # A process worker pickles its block back through the pipe, so the
+        # blocks stay in the kernel's accumulator dtype, not int64.
+        queries, storage = packed(rng, 5, 4), packed(rng, 300, 4)
+        blocks = engine.hamming_fanout(queries, storage, split_rows(300, 2))
+        assert [block.dtype for block in blocks] == [np.uint16, np.uint16]
+
+    @pytest.mark.parametrize("engine", EXECUTORS, indirect=True)
     def test_raw_array_storage_is_accepted(self, rng, engine):
         queries, storage = packed(rng, 4, 2), packed(rng, 64, 2)
         blocks = engine.hamming_fanout(queries, storage, [(0, 64)])

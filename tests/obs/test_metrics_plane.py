@@ -44,7 +44,7 @@ def _serve_traced(engine, queries, cache_capacity=0, max_batch=8):
         futures = [server.submit(query) for query in queries]
         results = [future.result(timeout=60.0) for future in futures]
         metrics = server.metrics
-    assert tracer.flush()
+    assert tracer.shutdown()
     return np.stack(results), metrics, sink
 
 
@@ -139,7 +139,7 @@ class TestCacheHitSpanLinks:
         with MicroBatchServer(engine, config=config, tracer=tracer) as server:
             first = server.submit(one).result(timeout=60.0)
             second = server.submit(one).result(timeout=60.0)
-        assert tracer.flush()
+        assert tracer.shutdown()
         assert np.array_equal(first, second)
         requests = [span for span in sink.spans()
                     if span["name"] == "request"]

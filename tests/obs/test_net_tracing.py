@@ -19,21 +19,13 @@ from repro.net.remote import build_demo_remote_engine
 from repro.net.server import NetApp, NetServer
 from repro.obs import (
     CONTENT_TYPE_PROMETHEUS,
-    InMemoryExporter,
     TRACE_HEADER,
-    Tracer,
     configure,
 )
 from repro.serve import build_demo_engine
 
 GEOMETRY = dict(classes=16, input_dim=32, hash_length=128)
 JSON = protocol.CONTENT_TYPE_JSON
-
-
-def make_tracer(**kwargs) -> tuple[Tracer, InMemoryExporter]:
-    sink = InMemoryExporter()
-    kwargs.setdefault("flush_interval_s", 0.01)
-    return Tracer(exporters=[sink], **kwargs), sink
 
 
 def classify_envelope(rng, n=2):
@@ -50,14 +42,13 @@ def post(app, path, envelope, headers=None):
 
 
 @pytest.fixture
-def app_and_sink():
+def app_and_sink(make_tracer):
     tracer, sink = make_tracer()
     app = NetApp(engine=build_demo_engine(seed=0, **GEOMETRY), tracer=tracer)
     try:
         yield app, tracer, sink
     finally:
         app.close()
-        tracer.shutdown()
 
 
 class TestHeaderPropagation:
@@ -107,7 +98,7 @@ class TestHeaderPropagation:
         for request in spans["request"]:
             assert request["trace_id"] == rpc["trace_id"]
 
-    def test_shard_surface_joins_the_trace(self, rng):
+    def test_shard_surface_joins_the_trace(self, rng, make_tracer):
         tracer, sink = make_tracer()
         app = NetApp(shard_rows=8, word_bits=128, tracer=tracer)
         try:
@@ -185,7 +176,8 @@ class TestObservabilitySurfaces:
 class TestLiveClusterPropagation:
     """One client call stitches client, serve plane and shard servers."""
 
-    def test_one_trace_per_client_call_across_three_processes_worth(self, rng):
+    def test_one_trace_per_client_call_across_three_processes_worth(
+            self, rng, make_tracer):
         tracer, sink = make_tracer()
         # The process-default tracer: the serve-plane NetApp, the shard
         # servers inside LocalShardCluster and the NetClient all pick it

@@ -34,12 +34,6 @@ GEOMETRY = dict(classes=16, input_dim=32, hash_length=128)
 REQUESTS = 24
 
 
-def make_tracer(**kwargs) -> tuple[Tracer, InMemoryExporter]:
-    sink = InMemoryExporter()
-    kwargs.setdefault("flush_interval_s", 0.01)
-    return Tracer(exporters=[sink], **kwargs), sink
-
-
 def serve(engine, queries, tracer=None, cache_capacity=0, observers=(),
           max_batch=8):
     config = ServeConfig(max_batch=max_batch, max_wait_ms=2.0,
@@ -60,14 +54,14 @@ def queries(rng):
 
 
 class TestRunTrees:
-    def test_every_request_reconstructs_exactly_once(self, queries):
+    def test_every_request_reconstructs_exactly_once(self, queries, make_tracer):
         tracer, sink = make_tracer()
         serve(build_demo_engine(seed=0, **GEOMETRY), queries, tracer)
         trees = build_run_trees(sink.spans())
         ok, problems = verify_run_trees(trees, expected_requests=REQUESTS)
         assert ok, problems
 
-    def test_sharded_lifecycle_stages_present(self, queries):
+    def test_sharded_lifecycle_stages_present(self, queries, make_tracer):
         tracer, sink = make_tracer()
         engine = build_demo_sharded_engine(seed=0, num_shards=2, **GEOMETRY)
         serve(engine, queries, tracer, cache_capacity=REQUESTS)
@@ -80,7 +74,7 @@ class TestRunTrees:
                       "digitise", "cache_write", "reply"):
             assert table[stage]["max_ms"] > 0.0, stage
 
-    def test_cache_hits_attributed_and_skip_execute(self, rng):
+    def test_cache_hits_attributed_and_skip_execute(self, rng, make_tracer):
         tracer, sink = make_tracer()
         engine = build_demo_engine(seed=0, **GEOMETRY)
         one = rng.standard_normal(GEOMETRY["input_dim"])
@@ -99,7 +93,7 @@ class TestRunTrees:
         assert hit_tree.stage_ms()["execute"] == 0.0
         assert hit_tree.stage_ms()["cache_lookup"] > 0.0
 
-    def test_batch_membership_matches_declared_size(self, queries):
+    def test_batch_membership_matches_declared_size(self, queries, make_tracer):
         tracer, sink = make_tracer()
         serve(build_demo_engine(seed=0, **GEOMETRY), queries, tracer,
               max_batch=REQUESTS)
@@ -113,7 +107,7 @@ class TestRunTrees:
 
 
 class TestTransparency:
-    def test_traced_answers_bit_identical(self, queries):
+    def test_traced_answers_bit_identical(self, queries, make_tracer):
         untraced = serve(build_demo_sharded_engine(seed=0, num_shards=2,
                                                    **GEOMETRY), queries)
         tracer, _ = make_tracer()
@@ -121,7 +115,7 @@ class TestTransparency:
                                                  **GEOMETRY), queries, tracer)
         assert np.array_equal(untraced, traced)
 
-    def test_sampled_out_requests_still_answer(self, queries):
+    def test_sampled_out_requests_still_answer(self, queries, make_tracer):
         tracer, sink = make_tracer(sample_rate=0.0)
         reference = serve(build_demo_engine(seed=0, **GEOMETRY), queries)
         answers = serve(build_demo_engine(seed=0, **GEOMETRY), queries,
@@ -132,7 +126,7 @@ class TestTransparency:
 
 
 class TestIsolation:
-    def test_raising_observer_breaks_nothing(self, queries, capsys):
+    def test_raising_observer_breaks_nothing(self, queries, capsys, make_tracer):
         class ExplodingObserver:
             def request_enqueued(self, depth):
                 raise RuntimeError("observer bug")
@@ -150,7 +144,7 @@ class TestIsolation:
         assert ok, problems
         assert "ExplodingObserver" in capsys.readouterr().err
 
-    def test_engine_failure_exports_error_spans(self, rng):
+    def test_engine_failure_exports_error_spans(self, rng, make_tracer):
         class BrokenEngine:
             name = "broken"
             input_dim = 8
@@ -177,7 +171,8 @@ class TestIsolation:
 
 
 class TestProcessExecutorPropagation:
-    def test_fanout_span_names_the_processes_executor(self, rng, monkeypatch):
+    def test_fanout_span_names_the_processes_executor(self, rng, monkeypatch,
+                                                      make_tracer):
         monkeypatch.setenv(EXECUTOR_ENV, "processes")
         tracer, sink = make_tracer()
         engine = build_demo_sharded_engine(seed=0, num_shards=2, **GEOMETRY)
@@ -226,7 +221,7 @@ class TestRejectionSpanLifecycle:
     requests used to leave open roots that sat in the tail buffer until
     the trace-timeout sweep."""
 
-    def test_queue_full_rejection_ends_request_spans(self, rng):
+    def test_queue_full_rejection_ends_request_spans(self, rng, make_tracer):
         tracer, sink = make_tracer()
         engine = build_demo_engine(seed=0, **GEOMETRY)
         config = ServeConfig(max_batch=4, queue_depth=2, full_policy="reject",
@@ -286,4 +281,4 @@ class TestRejectionSpanLifecycle:
         assert snap["roots_seen"] == len(queries) + 1
         assert snap["buffered_traces"] == 0
         assert snap["timed_out_traces"] == 0
-        assert tail.shutdown(10)
+        assert tracer.shutdown(10)  # stops the tail sampler too

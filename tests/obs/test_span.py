@@ -12,7 +12,6 @@ import pytest
 from repro.obs import (
     Span,
     TraceContext,
-    Tracer,
     format_trace_header,
     new_id,
     parse_trace_header,
@@ -58,18 +57,18 @@ class TestTraceContext:
     def test_parse_is_total(self, value):
         assert TraceContext.from_header(value) is None
 
-    def test_parse_alias_and_format_helpers(self):
+    def test_parse_alias_and_format_helpers(self, make_tracer):
         context = TraceContext("aaaaaaaaaaaaaaaa", "bbbbbbbbbbbbbbbb")
         assert parse_trace_header(context.to_header()) == context
         assert format_trace_header(None) is None
         assert format_trace_header(context) == context.to_header()
-        span = Tracer().start_span("x")
+        span = make_tracer()[0].start_span("x")
         assert format_trace_header(span) == span.context.to_header()
 
 
 class TestSpanLifecycle:
-    def test_end_is_idempotent(self):
-        tracer = Tracer()
+    def test_end_is_idempotent(self, make_tracer):
+        tracer, _ = make_tracer()
         span = tracer.start_span("op")
         span.end()
         first = span.end_ns
@@ -77,8 +76,8 @@ class TestSpanLifecycle:
         assert span.end_ns == first
         assert tracer.ended == 1
 
-    def test_duration_and_dict_shape(self):
-        tracer = Tracer()
+    def test_duration_and_dict_shape(self, make_tracer):
+        tracer, _ = make_tracer()
         span = tracer.start_span("op", attributes={"k": 3})
         span.set_attribute("extra", True)
         span.end()
@@ -91,14 +90,14 @@ class TestSpanLifecycle:
         assert data["duration_ms"] >= 0.0
         assert data["end_ns"] >= data["start_ns"]
 
-    def test_record_error(self):
-        span = Tracer().start_span("op")
+    def test_record_error(self, make_tracer):
+        span = make_tracer()[0].start_span("op")
         span.record_error(ValueError("boom")).end()
         assert span.status == "error"
         assert span.error == "ValueError: boom"
 
-    def test_child_inherits_trace(self):
-        tracer = Tracer()
+    def test_child_inherits_trace(self, make_tracer):
+        tracer, _ = make_tracer()
         root = tracer.start_span("request")
         child = tracer.start_span("enqueue", parent=root)
         assert child.trace_id == root.trace_id
@@ -107,8 +106,8 @@ class TestSpanLifecycle:
         # A root's span id doubles as its trace id (one generation per root).
         assert root.trace_id == root.span_id
 
-    def test_context_of_span(self):
-        span = Tracer(sample_rate=1.0).start_span("op")
+    def test_context_of_span(self, make_tracer):
+        span = make_tracer(sample_rate=1.0)[0].start_span("op")
         context = span.context
         assert isinstance(context, TraceContext)
         assert (context.trace_id, context.span_id) == (span.trace_id,

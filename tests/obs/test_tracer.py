@@ -7,7 +7,6 @@ import threading
 import pytest
 
 from repro.obs import (
-    InMemoryExporter,
     TRACE_HEADER,
     TraceContext,
     Tracer,
@@ -20,12 +19,6 @@ from repro.obs import (
 )
 
 
-def make_tracer(**kwargs) -> tuple[Tracer, InMemoryExporter]:
-    sink = InMemoryExporter()
-    kwargs.setdefault("flush_interval_s", 0.01)
-    return Tracer(exporters=[sink], **kwargs), sink
-
-
 class TestSampling:
     def test_sample_rate_validated(self):
         with pytest.raises(ValueError):
@@ -33,7 +26,7 @@ class TestSampling:
         with pytest.raises(ValueError):
             Tracer(sample_rate=-0.1)
 
-    def test_rate_zero_exports_nothing_but_counts(self):
+    def test_rate_zero_exports_nothing_but_counts(self, make_tracer):
         tracer, sink = make_tracer(sample_rate=0.0)
         for _ in range(10):
             tracer.start_span("request").end()
@@ -42,7 +35,7 @@ class TestSampling:
         assert tracer.sampled_out == 10
         assert tracer.snapshot()["spans_ended"] == 10
 
-    def test_rate_one_exports_everything(self):
+    def test_rate_one_exports_everything(self, make_tracer):
         tracer, sink = make_tracer(sample_rate=1.0)
         for _ in range(10):
             tracer.start_span("request").end()
@@ -50,7 +43,7 @@ class TestSampling:
         assert len(sink.spans()) == 10
         assert tracer.sampled_out == 0
 
-    def test_seeded_fractional_rate_is_reproducible(self):
+    def test_seeded_fractional_rate_is_reproducible(self, make_tracer):
         counts = []
         for _ in range(2):
             tracer, sink = make_tracer(sample_rate=0.5, seed=7)
@@ -62,7 +55,7 @@ class TestSampling:
         assert counts[0] == counts[1]
         assert 0 < counts[0] < 200
 
-    def test_descendants_inherit_the_root_decision(self):
+    def test_descendants_inherit_the_root_decision(self, make_tracer):
         tracer, sink = make_tracer(sample_rate=0.0)
         root = tracer.start_span("request")
         child = tracer.start_span("enqueue", parent=root)
@@ -74,7 +67,7 @@ class TestSampling:
         # Only the root rolled the dice.
         assert tracer.sampled_out == 1
 
-    def test_errors_export_even_when_sampled_out(self):
+    def test_errors_export_even_when_sampled_out(self, make_tracer):
         tracer, sink = make_tracer(sample_rate=0.0)
         span = tracer.start_span("request")
         span.record_error("engine exploded").end()
@@ -86,7 +79,7 @@ class TestSampling:
 
 
 class TestSpanContextManager:
-    def test_exception_marks_error_and_reraises(self):
+    def test_exception_marks_error_and_reraises(self, make_tracer):
         tracer, sink = make_tracer()
         with pytest.raises(RuntimeError):
             with tracer.span("op"):
@@ -96,7 +89,7 @@ class TestSpanContextManager:
         assert span["status"] == "error"
         assert "boom" in span["error"]
 
-    def test_nesting_via_ambient(self):
+    def test_nesting_via_ambient(self, make_tracer):
         tracer, sink = make_tracer()
         with tracer.span("request") as outer:
             assert current_span() is outer
@@ -105,7 +98,7 @@ class TestSpanContextManager:
                 assert inner.trace_id == outer.trace_id
         assert current_span() is None
 
-    def test_ambient_false_does_not_leak(self):
+    def test_ambient_false_does_not_leak(self, make_tracer):
         tracer, _ = make_tracer()
         with tracer.span("detached", ambient=False):
             assert current_span() is None
@@ -116,7 +109,7 @@ class TestAmbientPropagation:
         with use_span(None) as span:
             assert span is None
 
-    def test_scoped_task_crosses_threads(self):
+    def test_scoped_task_crosses_threads(self, make_tracer):
         tracer, _ = make_tracer()
         seen = []
         with tracer.span("fanout") as fan:
@@ -136,7 +129,7 @@ class TestInjectHeaders:
         assert inject_headers({"A": "b"}) == {"A": "b"}
         assert inject_headers() == {}
 
-    def test_explicit_context_and_span(self):
+    def test_explicit_context_and_span(self, make_tracer):
         tracer, _ = make_tracer()
         span = tracer.start_span("client")
         by_span = inject_headers({}, span)
@@ -144,7 +137,7 @@ class TestInjectHeaders:
         assert by_span == by_context
         assert TraceContext.from_header(by_span[TRACE_HEADER]) == span.context
 
-    def test_ambient_fallback(self):
+    def test_ambient_fallback(self, make_tracer):
         tracer, _ = make_tracer()
         with tracer.span("client") as span:
             headers = inject_headers({"X": "y"})
@@ -152,7 +145,7 @@ class TestInjectHeaders:
         assert TraceContext.from_header(
             headers[TRACE_HEADER]) == span.context
 
-    def test_original_mapping_is_not_mutated(self):
+    def test_original_mapping_is_not_mutated(self, make_tracer):
         tracer, _ = make_tracer()
         original = {"X": "y"}
         with tracer.span("client"):
@@ -162,7 +155,7 @@ class TestInjectHeaders:
 
 
 class TestSnapshotAndRecent:
-    def test_counters_and_pipeline_keys(self):
+    def test_counters_and_pipeline_keys(self, make_tracer):
         tracer, _ = make_tracer()
         with tracer.span("op"):
             pass
@@ -175,7 +168,7 @@ class TestSnapshotAndRecent:
                     "export_errors", "export_buffer_depth"):
             assert key in snapshot
 
-    def test_recent_ring_is_bounded_and_ordered(self):
+    def test_recent_ring_is_bounded_and_ordered(self, make_tracer):
         tracer, _ = make_tracer(recent_capacity=4)
         for index in range(10):
             tracer.start_span(f"op{index}").end()
