@@ -7,7 +7,7 @@ within a few points of the software baseline.
 
 This is the slowest benchmark (it trains a model and runs the greedy
 hash-length search), so it defaults to the LeNet5-class workload only; pass
-a larger model list to :func:`repro.evaluation.experiments.run_fig5_accuracy`
+a larger ``models`` list to ``ExperimentRunner().run("fig5_accuracy", ...)``
 for the full sweep.
 """
 

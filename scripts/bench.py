@@ -158,25 +158,18 @@ def main(argv: list[str] | None = None) -> int:
 
     # -- acceptance gates -----------------------------------------------------
     failed = False
-    acceptance = kernel_summary.get("acceptance")
-    if acceptance is not None:
-        verdict = "PASS" if acceptance["passed"] else "FAIL"
-        print(f"[bench] kernel acceptance {acceptance['workload']}: "
-              f"{acceptance['speedup']:.1f}x "
-              f"(required >= {acceptance['min_required_speedup']}x) -> {verdict}")
-        failed = failed or not acceptance["passed"]
-    serve_acceptance = serve_summary["acceptance"]
-    verdict = "PASS" if serve_acceptance["passed"] else "FAIL"
-    print(f"[bench] serve acceptance {serve_acceptance['workload']}: "
-          f"{serve_acceptance['speedup']:.1f}x "
-          f"(required >= {serve_acceptance['min_required_speedup']}x) -> {verdict}")
-    failed = failed or not serve_acceptance["passed"]
-    shard_acceptance = shard_summary["acceptance"]
-    verdict = "PASS" if shard_acceptance["passed"] else "FAIL"
-    print(f"[bench] shard acceptance {shard_acceptance['workload']}: "
-          f"{shard_acceptance['speedup']:.1f}x "
-          f"(required >= {shard_acceptance['min_required_speedup']}x) -> {verdict}")
-    failed = failed or not shard_acceptance["passed"]
+    for suite, summary in (("kernel", kernel_summary),
+                           ("serve", serve_summary),
+                           ("shard", shard_summary),
+                           ("retrieval", retrieval_summary)):
+        gate = summary.get("acceptance")
+        if gate is None:  # the kernel grid may omit the acceptance cell
+            continue
+        print(f"[bench] {suite} acceptance {gate['workload']}: "
+              f"{gate['speedup']:.1f}x "
+              f"(required >= {gate['min_required_speedup']}x) -> "
+              f"{'PASS' if gate['passed'] else 'FAIL'}")
+        failed = failed or not gate["passed"]
     executor_acceptance = executor_summary["acceptance"]
     verdict = "PASS" if executor_acceptance["passed"] else "FAIL"
     if "skipped" in executor_acceptance:
@@ -192,13 +185,6 @@ def main(argv: list[str] | None = None) -> int:
               f"(required >= "
               f"{executor_acceptance['min_required_speedup']}x) -> {verdict}")
     failed = failed or not executor_acceptance["passed"]
-    retrieval_acceptance = retrieval_summary["acceptance"]
-    verdict = "PASS" if retrieval_acceptance["passed"] else "FAIL"
-    print(f"[bench] retrieval acceptance {retrieval_acceptance['workload']}: "
-          f"{retrieval_acceptance['speedup']:.1f}x "
-          f"(required >= {retrieval_acceptance['min_required_speedup']}x) "
-          f"-> {verdict}")
-    failed = failed or not retrieval_acceptance["passed"]
     net_acceptance = net_summary["acceptance"]
     verdict = "PASS" if net_acceptance["passed"] else "FAIL"
     print(f"[bench] net acceptance {net_acceptance['workload']}: "

@@ -216,7 +216,6 @@ def run_scenario(scenario: str, args: argparse.Namespace) -> dict:
         cache_capacity=cache_capacity,
         adaptive_wait=args.adaptive_wait,
         cache_admission=cache_admission,
-        executor=args.executor,
     )
     lru_hit_rate = None
     if scenario == "cache_busting" and cache_capacity > 0:
@@ -331,7 +330,7 @@ def run_tenants_scenario(args: argparse.Namespace,
         queue_depth=args.queue_depth, num_workers=args.workers,
         cache_capacity=(0 if args.no_cache
                         else (args.cache_capacity or 4096)),
-        adaptive_wait=args.adaptive_wait, executor=args.executor)
+        adaptive_wait=args.adaptive_wait)
     engine = build_engine(args)
     server = MicroBatchServer(engine, config=config, tenancy=registry)
 

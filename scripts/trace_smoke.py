@@ -27,6 +27,8 @@ The workload is deliberately compute-heavy (large CAM, cache misses
 everywhere) because that is the regime tracing must be cheap in: span
 bookkeeping is a fixed few microseconds per request, so it is measured
 against requests that do real work, not against empty no-op requests.
+Each run is timed by :func:`repro.api.bench.serve_window`, the serving
+window ``make bench`` times too.
 
 Usage::
 
@@ -41,7 +43,6 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +50,9 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.obs import (  # noqa: E402  (path bootstrap above)
-    InMemoryExporter,
-    TailSampler,
-    Tracer,
-    report,
-)
-from repro.serve import MicroBatchServer, ServeConfig  # noqa: E402
+from repro.api.bench import serve_window  # noqa: E402  (path bootstrap above)
+from repro.obs import InMemoryExporter, TailSampler, Tracer, report  # noqa: E402
+from repro.serve import ServeConfig  # noqa: E402
 from repro.shard import build_demo_sharded_engine  # noqa: E402
 
 #: Stages every traced request must attribute time to (the sharded,
@@ -83,21 +80,12 @@ def serve_once(args: argparse.Namespace,
         tracer = Tracer(exporters=[exporter], tail_sampler=tail)
     config = ServeConfig(max_batch=args.max_batch, max_wait_ms=2.0,
                          cache_capacity=args.requests)
-    server = MicroBatchServer(engine, config=config, tracer=tracer).start()
-    rng = np.random.default_rng(args.seed)
-    queries = rng.standard_normal((args.requests, args.input_dim))
+    queries = np.random.default_rng(args.seed).standard_normal(
+        (args.requests, args.input_dim))
     try:
-        start = time.perf_counter()
-        futures = [server.submit(query) for query in queries]
-        responses = [future.result(args.timeout_s) for future in futures]
-        serving_s = time.perf_counter() - start
+        serving_s, responses, _ = serve_window(engine, queries, config, tracer)
     finally:
-        server.stop(drain=True)
-        close = getattr(engine, "close", None)
-        if callable(close):
-            close()
-        if tracer is not None:
-            tracer.shutdown()
+        engine.close()
     return np.stack(responses), serving_s, exporter
 
 
@@ -141,7 +129,6 @@ def main(argv: list[str] | None = None) -> int:
                              "the overhead gate still fails, up to this "
                              "many (absorbs one-sided scheduler noise)")
     parser.add_argument("--max-overhead-pct", type=float, default=5.0)
-    parser.add_argument("--timeout-s", type=float, default=120.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 

@@ -29,7 +29,7 @@ import platform
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -182,19 +182,6 @@ class BenchRecord:
     min_s: float
     rounds: int
 
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON representation."""
-        return {
-            "name": self.name,
-            "group": self.group,
-            "params": dict(self.params),
-            "median_s": self.median_s,
-            "mean_s": self.mean_s,
-            "std_s": self.std_s,
-            "min_s": self.min_s,
-            "rounds": self.rounds,
-        }
-
 
 def time_callable(fn: Callable[[], Any], rounds: int = 5,
                   warmup: int = 1) -> list[float]:
@@ -265,13 +252,20 @@ def write_bench_report(path: str | Path, records: Sequence[BenchRecord],
         "schema_version": BENCH_SCHEMA_VERSION,
         "environment": dict(environment) if environment is not None
         else collect_environment(),
-        "benchmarks": [record.to_dict() for record in records],
+        "benchmarks": [asdict(record) for record in records],
     }
     if extra:
         document.update({key: value for key, value in extra.items()
                          if key not in document})
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return document
+
+
+def _floor_gate(workload: str, speedup: float, floor: float,
+                **detail: Any) -> dict[str, Any]:
+    """Acceptance verdict of a speedup floor: passes at ``speedup >= floor``."""
+    return {"workload": workload, **detail, "speedup": speedup,
+            "min_required_speedup": floor, "passed": speedup >= floor}
 
 
 # -- kernel microbench ---------------------------------------------------------
@@ -391,14 +385,10 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
         speedup = unpacked_record.median_s / max(packed_record.median_s, 1e-12)
         speedups[cell] = speedup
         if (rows, k) == ACCEPTANCE_WORKLOAD:
-            acceptance = {
-                "workload": cell,
-                "unpacked_median_s": unpacked_record.median_s,
-                "packed_median_s": packed_record.median_s,
-                "speedup": speedup,
-                "min_required_speedup": ACCEPTANCE_MIN_SPEEDUP,
-                "passed": speedup >= ACCEPTANCE_MIN_SPEEDUP,
-            }
+            acceptance = _floor_gate(
+                cell, speedup, ACCEPTANCE_MIN_SPEEDUP,
+                unpacked_median_s=unpacked_record.median_s,
+                packed_median_s=packed_record.median_s)
 
     # -- retrieval-shaped cell ---------------------------------------------------
     queries, rows, k = (KERNEL_RETRIEVAL_CELL[key]
@@ -555,47 +545,47 @@ def e2e_benchmarks(quick: bool = False, rounds: int | None = None) -> list[Bench
 # -- serving workloads ---------------------------------------------------------
 
 
-def _serve_run_seconds(max_batch: int, queries: np.ndarray,
-                       cache_capacity: int = 0,
-                       max_wait_ms: float = 5.0) -> tuple[float, dict[str, Any]]:
-    """Serve ``queries`` through a fresh demo server; returns (wall_s, stats)."""
-    from repro.serve import MicroBatchServer, ServeConfig, build_demo_engine
+#: What :func:`serve_window` returns: ``(seconds, responses, stats)``.
+ServeWindow = tuple[float, list[Any], dict[str, Any]]
 
-    engine = build_demo_engine(**SERVE_BENCH_ENGINE)
-    config = ServeConfig(max_batch=max_batch, max_wait_ms=max_wait_ms,
-                         queue_depth=max(len(queries), 1),
-                         cache_capacity=cache_capacity)
-    server = MicroBatchServer(engine, config=config)
-    server.start()
+
+def serve_window(engine: Any, queries: np.ndarray, config: Any,
+                 tracer: Any = None) -> ServeWindow:
+    """Serve ``queries`` through a fresh server over ``engine``; time the window.
+
+    The one serving loop of ``make bench`` and ``make trace-smoke``: the
+    window runs from the first submit to the last resolved result, so
+    server construction and shutdown stay out of "serving throughput".
+    Whatever happens inside, the server is stopped (draining), its stats
+    are read, and then ``tracer`` (when given) is shut down.  The caller
+    owns ``engine`` and closes it.  Returns ``(seconds, responses, stats)``.
+    """
+    from repro.serve import MicroBatchServer
+
+    server = MicroBatchServer(engine, config=config, tracer=tracer).start()
     try:
         start = time.perf_counter()
         futures = [server.submit(query) for query in queries]
         for future in futures:
             future.result(timeout=300.0)
-        elapsed = time.perf_counter() - start
+        seconds = time.perf_counter() - start
     finally:
         server.stop(drain=True)
-    return elapsed, server.stats()
+        stats = server.stats()
+        if tracer is not None:
+            tracer.shutdown()
+    return seconds, [future.result() for future in futures], stats
 
 
-def _serve_workload_record(name: str, params: Mapping[str, Any],
-                           run: Callable[[], tuple[float, dict[str, Any]]],
-                           rounds: int,
-                           warmup: int) -> tuple[BenchRecord, dict[str, Any]]:
-    """Time a serving run over the *serving window* only.
+def _serve_run_seconds(max_batch: int, queries: np.ndarray,
+                       cache_capacity: int = 0) -> ServeWindow:
+    """One serving window on a fresh :data:`SERVE_BENCH_ENGINE` demo engine."""
+    from repro.serve import ServeConfig, build_demo_engine
 
-    ``run`` returns ``(serving_seconds, stats)``; the record's statistics
-    are over the submit-to-last-result window, excluding engine/server
-    construction and shutdown, which is what "serving throughput" means.
-    """
-    for _ in range(warmup):
-        run()
-    times: list[float] = []
-    stats: dict[str, Any] = {}
-    for _ in range(rounds):
-        elapsed, stats = run()
-        times.append(elapsed)
-    return record_from_times(name, "serve", params, times), stats
+    return serve_window(build_demo_engine(**SERVE_BENCH_ENGINE), queries,
+                        ServeConfig(max_batch=max_batch, max_wait_ms=5.0,
+                                    queue_depth=len(queries),
+                                    cache_capacity=cache_capacity))
 
 
 def serve_benchmarks(total_requests: int = SERVE_ACCEPTANCE_REQUESTS,
@@ -615,39 +605,36 @@ def serve_benchmarks(total_requests: int = SERVE_ACCEPTANCE_REQUESTS,
     * ``serve/zipf_cached`` -- Zipf-skewed repeats with the
       packed-signature cache on, exercising the hit path.
 
-    Records time the serving window only (submit of the first request to
-    the last resolved future).  Returns ``(records, summary)``; the summary
-    carries the throughputs, the measured speedup and the pass/fail
-    acceptance verdict (>= :data:`SERVE_ACCEPTANCE_MIN_SPEEDUP`), which
-    ``scripts/bench.py`` folds into ``BENCH_e2e.json``.
+    Records time the serving window only (:func:`serve_window`).  Returns
+    ``(records, summary)``; the summary carries the throughputs, the
+    measured speedup and the pass/fail acceptance verdict
+    (>= :data:`SERVE_ACCEPTANCE_MIN_SPEEDUP`), which ``scripts/bench.py``
+    folds into ``BENCH_e2e.json``.
     """
     requests = total_requests
     effective_rounds = rounds if rounds is not None else (2 if quick else 3)
     rng = np.random.default_rng(seed)
     input_dim = SERVE_BENCH_ENGINE["input_dim"]
     uniform = rng.standard_normal((requests, input_dim))
+    pool = rng.standard_normal((max(32, requests // 8), input_dim))
+    zipf_queries = pool[rng.zipf(1.3, size=requests) % pool.shape[0]]
 
     params = {"requests": requests, **SERVE_BENCH_ENGINE}
-    batched_record, _ = _serve_workload_record(
-        f"serve/microbatch/max_batch={max_batch}",
-        {**params, "max_batch": max_batch},
-        lambda: _serve_run_seconds(max_batch, uniform),
-        rounds=effective_rounds, warmup=1)
-    serial_record, _ = _serve_workload_record(
-        "serve/serial/max_batch=1", {**params, "max_batch": 1},
-        lambda: _serve_run_seconds(1, uniform),
-        rounds=effective_rounds, warmup=0)
-
-    pool = rng.standard_normal((max(32, requests // 8), input_dim))
-    zipf_draws = rng.zipf(1.3, size=requests) % pool.shape[0]
-    zipf_queries = pool[zipf_draws]
-    zipf_record, zipf_stats = _serve_workload_record(
-        f"serve/zipf_cached/max_batch={max_batch}",
-        {**params, "max_batch": max_batch, "pool": int(pool.shape[0]),
-         "cache": True},
-        lambda: _serve_run_seconds(max_batch, zipf_queries,
-                                   cache_capacity=pool.shape[0] * 2),
-        rounds=effective_rounds, warmup=1)
+    records: list[BenchRecord] = []
+    # (name, extra params, max_batch, load, cache capacity, untimed warmups)
+    for name, extra, batch, load, cache, warmup in (
+            (f"serve/microbatch/max_batch={max_batch}",
+             {"max_batch": max_batch}, max_batch, uniform, 0, 1),
+            ("serve/serial/max_batch=1", {"max_batch": 1}, 1, uniform, 0, 0),
+            (f"serve/zipf_cached/max_batch={max_batch}",
+             {"max_batch": max_batch, "pool": int(pool.shape[0]),
+              "cache": True},
+             max_batch, zipf_queries, pool.shape[0] * 2, 1)):
+        seconds, _, stats = zip(*[_serve_run_seconds(batch, load, cache)
+                                  for _ in range(warmup + effective_rounds)])
+        records.append(record_from_times(name, "serve", {**params, **extra},
+                                         seconds[warmup:]))
+    batched_record, serial_record, zipf_record = records
 
     throughput_batched = requests / batched_record.median_s
     throughput_serial = requests / serial_record.median_s
@@ -660,41 +647,25 @@ def serve_benchmarks(total_requests: int = SERVE_ACCEPTANCE_REQUESTS,
             "serial_1": throughput_serial,
             f"zipf_cached_{max_batch}": requests / zipf_record.median_s,
         },
-        "zipf_cache_hit_rate": zipf_stats["cache"]["hit_rate"],
-        "acceptance": {
-            "workload": f"uniform_{requests}_requests",
-            "max_batch": max_batch,
-            "speedup": speedup,
-            "min_required_speedup": SERVE_ACCEPTANCE_MIN_SPEEDUP,
-            "passed": speedup >= SERVE_ACCEPTANCE_MIN_SPEEDUP,
-        },
+        "zipf_cache_hit_rate": stats[-1]["cache"]["hit_rate"],  # zipf ran last
+        "acceptance": _floor_gate(f"uniform_{requests}_requests", speedup,
+                                  SERVE_ACCEPTANCE_MIN_SPEEDUP,
+                                  max_batch=max_batch),
     }
-    return [batched_record, serial_record, zipf_record], summary
+    return records, summary
 
 
 # -- sharded serving workloads -------------------------------------------------
 
 
 def _engine_serve_seconds(engine: Any, queries: np.ndarray, max_batch: int,
-                          num_workers: int = 1,
-                          max_wait_ms: float = 5.0) -> tuple[float, dict[str, Any]]:
-    """Serve ``queries`` through a fresh server over ``engine``."""
-    from repro.serve import MicroBatchServer, ServeConfig
+                          num_workers: int = 1) -> ServeWindow:
+    """One serving window of ``queries`` over the caller's ``engine``, cache off."""
+    from repro.serve import ServeConfig
 
-    config = ServeConfig(max_batch=max_batch, max_wait_ms=max_wait_ms,
-                         queue_depth=max(len(queries), 1),
-                         num_workers=num_workers, cache_capacity=0)
-    server = MicroBatchServer(engine, config=config)
-    server.start()
-    try:
-        start = time.perf_counter()
-        futures = [server.submit(query) for query in queries]
-        for future in futures:
-            future.result(timeout=300.0)
-        elapsed = time.perf_counter() - start
-    finally:
-        server.stop(drain=True)
-    return elapsed, server.stats()
+    return serve_window(engine, queries, ServeConfig(
+        max_batch=max_batch, max_wait_ms=5.0, queue_depth=len(queries),
+        num_workers=num_workers, cache_capacity=0))
 
 
 def shard_benchmarks(total_requests: int = SHARD_ACCEPTANCE_REQUESTS,
@@ -738,12 +709,13 @@ def shard_benchmarks(total_requests: int = SHARD_ACCEPTANCE_REQUESTS,
     for num_shards in SHARD_SCALING_COUNTS:
         engine = build_demo_sharded_engine(**SHARD_BENCH_ENGINE,
                                            num_shards=num_shards)
-        record, _ = _serve_workload_record(
-            f"shard/scaling/shards={num_shards}",
+        seconds = [_engine_serve_seconds(engine, scaling_queries, 32)[0]
+                   for _ in range(1 + effective_rounds)]
+        engine.close()
+        record = record_from_times(
+            f"shard/scaling/shards={num_shards}", "serve",
             {**SHARD_BENCH_ENGINE, "requests": total_requests,
-             "num_shards": num_shards, "max_batch": 32},
-            lambda e=engine: _engine_serve_seconds(e, scaling_queries, 32),
-            rounds=effective_rounds, warmup=1)
+             "num_shards": num_shards, "max_batch": 32}, seconds[1:])
         records.append(record)
         scaling_rps[f"shards={num_shards}"] = total_requests / record.median_s
 
@@ -768,16 +740,19 @@ def shard_benchmarks(total_requests: int = SHARD_ACCEPTANCE_REQUESTS,
             "sharded responses diverged from the single-engine baseline")
 
     params = {**workload, "requests": total_requests, "num_shards": num_shards}
-    routed_record, routed_stats = _serve_workload_record(
-        "shard/replica_routed", {**params, "routing": "least_loaded"},
-        lambda: _engine_serve_seconds(sharded, queries, workload["max_batch"],
-                                      num_workers=workload["num_workers"]),
-        rounds=effective_rounds, warmup=1)
-    multiplexed_record, multiplexed_stats = _serve_workload_record(
-        "shard/single_engine_multiplexed", params,
-        lambda: _engine_serve_seconds(multiplexed, queries,
-                                      workload["max_batch"]),
-        rounds=effective_rounds, warmup=0)
+    routed_s = [_engine_serve_seconds(sharded, queries, workload["max_batch"],
+                                      num_workers=workload["num_workers"])[0]
+                for _ in range(1 + effective_rounds)]
+    router = sharded.stats()["shards"]["router"]
+    sharded.close()
+    multiplexed_s = [
+        _engine_serve_seconds(multiplexed, queries, workload["max_batch"])[0]
+        for _ in range(effective_rounds)]
+    routed_record = record_from_times(
+        "shard/replica_routed", "serve", {**params, "routing": "least_loaded"},
+        routed_s[1:])
+    multiplexed_record = record_from_times(
+        "shard/single_engine_multiplexed", "serve", params, multiplexed_s)
     records.extend((routed_record, multiplexed_record))
 
     throughput_routed = total_requests / routed_record.median_s
@@ -793,15 +768,11 @@ def shard_benchmarks(total_requests: int = SHARD_ACCEPTANCE_REQUESTS,
             "single_engine_multiplexed": throughput_single,
         },
         "segment_rewrites_per_batch": (
-            multiplexed_stats["engine"]["multiplexing"]["segments"]),
-        "router": routed_stats["engine"]["shards"]["router"],
-        "acceptance": {
-            "workload": f"uniform_{total_requests}_requests_"
-                        f"{workload['rows']}_rows",
-            "speedup": speedup,
-            "min_required_speedup": SHARD_ACCEPTANCE_MIN_SPEEDUP,
-            "passed": speedup >= SHARD_ACCEPTANCE_MIN_SPEEDUP,
-        },
+            multiplexed.stats()["multiplexing"]["segments"]),
+        "router": router,
+        "acceptance": _floor_gate(
+            f"uniform_{total_requests}_requests_{workload['rows']}_rows",
+            speedup, SHARD_ACCEPTANCE_MIN_SPEEDUP),
     }
     return records, summary
 
@@ -877,14 +848,9 @@ def executor_benchmarks(quick: bool = False, rounds: int | None = None,
             f"shards={workload['shards']}")
     cores = os.cpu_count() or 1
     if cores >= EXECUTOR_MIN_CORES:
-        speedup = medians["threads"] / max(medians["processes"], 1e-12)
-        acceptance: dict[str, Any] = {
-            "workload": cell,
-            "cores": cores,
-            "speedup": speedup,
-            "min_required_speedup": EXECUTOR_ACCEPTANCE_MIN_SPEEDUP,
-            "passed": speedup >= EXECUTOR_ACCEPTANCE_MIN_SPEEDUP,
-        }
+        acceptance = _floor_gate(
+            cell, medians["threads"] / max(medians["processes"], 1e-12),
+            EXECUTOR_ACCEPTANCE_MIN_SPEEDUP, cores=cores)
     else:
         parity = max(medians.values()) / max(min(medians.values()), 1e-12)
         acceptance = {
@@ -998,14 +964,10 @@ def retrieval_benchmarks(quick: bool = False, rounds: int | None = None,
             "full": batch * workload["rows"],
         }
         if k == workload["k"]:
-            acceptance = {
-                "workload": cell,
-                "partial_median_s": partial_record.median_s,
-                "full_median_s": full_record.median_s,
-                "speedup": speedup,
-                "min_required_speedup": RETRIEVAL_ACCEPTANCE_MIN_SPEEDUP,
-                "passed": speedup >= RETRIEVAL_ACCEPTANCE_MIN_SPEEDUP,
-            }
+            acceptance = _floor_gate(
+                cell, speedup, RETRIEVAL_ACCEPTANCE_MIN_SPEEDUP,
+                partial_median_s=partial_record.median_s,
+                full_median_s=full_record.median_s)
 
     summary: dict[str, Any] = {
         "workload": dict(workload),
@@ -1127,36 +1089,6 @@ OBS_BENCH_ENGINE: dict[str, int] = {
 }
 
 
-def _obs_serve_seconds(queries: np.ndarray, max_batch: int, traced: bool,
-                       seed: int = 0) -> tuple[float, dict[str, Any]]:
-    """Serve ``queries`` through a fresh sharded server, optionally traced."""
-    from repro.obs import InMemoryExporter, Tracer
-    from repro.serve import MicroBatchServer, ServeConfig
-    from repro.shard import build_demo_sharded_engine
-
-    engine = build_demo_sharded_engine(seed=seed, **OBS_BENCH_ENGINE)
-    tracer = Tracer(exporters=[InMemoryExporter()]) if traced else None
-    config = ServeConfig(max_batch=max_batch, max_wait_ms=2.0,
-                         queue_depth=max(len(queries), 1), cache_capacity=0)
-    server = MicroBatchServer(engine, config=config, tracer=tracer)
-    server.start()
-    try:
-        start = time.perf_counter()
-        futures = [server.submit(query) for query in queries]
-        for future in futures:
-            future.result(timeout=300.0)
-        elapsed = time.perf_counter() - start
-        stats = server.stats()
-    finally:
-        server.stop(drain=True)
-        close = getattr(engine, "close", None)
-        if callable(close):
-            close()
-        if tracer is not None:
-            tracer.shutdown()
-    return elapsed, stats
-
-
 def obs_benchmarks(total_requests: int = 400, max_batch: int = 64,
                    quick: bool = False, rounds: int | None = None,
                    seed: int = 0) -> tuple[list[BenchRecord], dict[str, Any]]:
@@ -1172,23 +1104,37 @@ def obs_benchmarks(total_requests: int = 400, max_batch: int = 64,
     acceptance gate attached -- the <5% gate lives in ``make trace-smoke``;
     this entry tracks the trajectory of the number across PRs.
     """
+    from repro.obs import InMemoryExporter, Tracer
+    from repro.serve import ServeConfig
+    from repro.shard import build_demo_sharded_engine
+
     effective_rounds = rounds if rounds is not None else (2 if quick else 3)
     rng = np.random.default_rng(seed)
     queries = rng.standard_normal((total_requests,
                                    OBS_BENCH_ENGINE["input_dim"]))
     params = {"requests": total_requests, "max_batch": max_batch,
               **OBS_BENCH_ENGINE}
+    config = ServeConfig(max_batch=max_batch, max_wait_ms=2.0,
+                         queue_depth=total_requests, cache_capacity=0)
 
-    _obs_serve_seconds(queries, max_batch, traced=False, seed=seed)  # warmup
+    def window(traced: bool) -> tuple[float, dict[str, Any]]:
+        engine = build_demo_sharded_engine(seed=seed, **OBS_BENCH_ENGINE)
+        try:
+            seconds, _, stats = serve_window(
+                engine, queries, config,
+                tracer=Tracer(exporters=[InMemoryExporter()]) if traced
+                else None)
+        finally:
+            engine.close()
+        return seconds, stats
+
+    window(traced=False)  # warmup
     untraced_s: list[float] = []
     traced_s: list[float] = []
     traced_stats: dict[str, Any] = {}
     for _ in range(effective_rounds):
-        elapsed, _ = _obs_serve_seconds(queries, max_batch, traced=False,
-                                        seed=seed)
-        untraced_s.append(elapsed)
-        elapsed, traced_stats = _obs_serve_seconds(queries, max_batch,
-                                                   traced=True, seed=seed)
+        untraced_s.append(window(traced=False)[0])
+        elapsed, traced_stats = window(traced=True)
         traced_s.append(elapsed)
 
     untraced_record = record_from_times(

@@ -7,9 +7,9 @@ and optional metadata extraction -- under a registry key.  The
 parameters, notifies observers (start, per-row, completion, failure) and
 returns a typed :class:`~repro.api.results.ExperimentResult`.
 
-Every ``run_fig*``/``run_table*`` function of
-:mod:`repro.evaluation.experiments` is registered as a spec in
-:mod:`repro.api.specs`; custom experiments register the same way::
+Every paper experiment of :mod:`repro.evaluation.experiments` is
+registered as a spec in :mod:`repro.api.specs`; custom experiments
+register the same way::
 
     spec = ExperimentSpec(name="my_sweep", title="...", runner=my_fn,
                           to_rows=lambda raw: [...])

@@ -2,19 +2,9 @@
 
 One experiment per table/figure of the paper's evaluation section, each
 returning plain data structures that the benchmark harness prints and the
-tests assert on.  The canonical entry point is the :mod:`repro.api`
-experiment registry (``repro.api.ExperimentRunner().run("fig9_cycles")``);
-the ``run_*`` functions below are deprecated wrappers kept for
-compatibility:
-
-* :func:`repro.evaluation.experiments.run_fig2_dot_product_sweep`
-* :func:`repro.evaluation.experiments.run_fig5_accuracy`
-* :func:`repro.evaluation.experiments.run_fig8_cam_overhead`
-* :func:`repro.evaluation.experiments.run_fig9_cycles`
-* :func:`repro.evaluation.experiments.run_fig10_energy`
-* :func:`repro.evaluation.experiments.run_table1_setup`
-* :func:`repro.evaluation.experiments.run_table2_pim_comparison`
-* :func:`repro.evaluation.experiments.run_headline_claims`
+tests assert on.  The entry point is the :mod:`repro.api` experiment
+registry: ``repro.api.ExperimentRunner().run("fig9_cycles", ...)`` returns
+a typed result whose ``raw`` field is the experiment's native return value.
 """
 
 from repro.evaluation.experiments import (
@@ -22,14 +12,6 @@ from repro.evaluation.experiments import (
     Fig9Row,
     Fig10Row,
     Table2Row,
-    run_fig2_dot_product_sweep,
-    run_fig5_accuracy,
-    run_fig8_cam_overhead,
-    run_fig9_cycles,
-    run_fig10_energy,
-    run_headline_claims,
-    run_table1_setup,
-    run_table2_pim_comparison,
 )
 from repro.evaluation.reporting import format_table, series_to_rows
 
@@ -39,13 +21,5 @@ __all__ = [
     "Fig10Row",
     "Table2Row",
     "format_table",
-    "run_fig2_dot_product_sweep",
-    "run_fig5_accuracy",
-    "run_fig8_cam_overhead",
-    "run_fig9_cycles",
-    "run_fig10_energy",
-    "run_headline_claims",
-    "run_table1_setup",
-    "run_table2_pim_comparison",
     "series_to_rows",
 ]

@@ -8,19 +8,14 @@ by roughly what factor) without re-implementing the experiment logic.
 The canonical way to run these is through the :mod:`repro.api` experiment
 registry: every implementation in this module is registered as an
 :class:`~repro.api.experiments.ExperimentSpec` (see :mod:`repro.api.specs`)
-and executed via ``repro.api.ExperimentRunner().run("fig9_cycles", ...)``.
-The historical ``run_fig*``/``run_table*`` free functions remain as thin
-deprecated wrappers that route through the runner and return their original
-shapes.
+and executed via ``repro.api.ExperimentRunner().run("fig9_cycles", ...)``;
+the result's ``raw`` field holds the function's native return value.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from repro.baselines.analog_pim import AnalogPIMModel, NEUROSIM_RRAM, VALAVI_SRAM
 from repro.baselines.cpu import SkylakeCPUModel
@@ -28,7 +23,7 @@ from repro.baselines.eyeriss import EyerissModel
 from repro.cam.energy_model import CamEnergyModel, CamOverheadReport, compare_technologies
 from repro.core.config import Dataflow, DeepCAMConfig
 from repro.core.energy import DeepCAMEnergyModel, energy_vs_hash_policy
-from repro.core.geometric import algebraic_dot, dot_product_error_sweep
+from repro.core.geometric import dot_product_error_sweep
 from repro.core.hash_search import VariableHashLengthSearch
 from repro.core.mapping import DeepCAMMapper
 from repro.datasets.loaders import SyntheticImageDataset
@@ -442,91 +437,3 @@ def _headline_claims_impl(cam_rows: int = 64) -> Dict[str, float]:
         "min_energy_reduction_vs_eyeriss": min(energy_reductions),
         "max_energy_reduction_vs_eyeriss": max(energy_reductions),
     }
-
-
-# ---------------------------------------------------------------------------
-# Legacy entry points: deprecated wrappers over the registered specs.
-# ---------------------------------------------------------------------------
-
-def _run_registered(experiment: str, **params):
-    """Route a legacy call through the :mod:`repro.api` experiment runner."""
-    from repro.api import ExperimentRunner
-    return ExperimentRunner().run(experiment, **params).raw
-
-
-def _warn_legacy(func_name: str, experiment: str) -> None:
-    warnings.warn(
-        f"{func_name}() is deprecated; use "
-        f"repro.api.ExperimentRunner().run({experiment!r}) instead",
-        DeprecationWarning, stacklevel=3)
-
-
-def run_fig2_dot_product_sweep(hash_lengths: Sequence[int] = (64, 128, 256, 512, 1024, 2048, 4096),
-                               seeds: Sequence[int] = tuple(range(8)),
-                               use_exact_cosine: bool = False) -> Dict[int, Dict[str, float]]:
-    """Deprecated: run the registered ``fig2_dot_product_sweep`` experiment."""
-    _warn_legacy("run_fig2_dot_product_sweep", "fig2_dot_product_sweep")
-    return _run_registered("fig2_dot_product_sweep", hash_lengths=hash_lengths,
-                           seeds=seeds, use_exact_cosine=use_exact_cosine)
-
-
-def run_fig5_accuracy(models: Sequence[str] = ("lenet5", "vgg11"),
-                      samples: int = 900,
-                      epochs: int = 4,
-                      eval_samples: int = 160,
-                      tolerance: float = 0.03,
-                      cam_rows: int = 64,
-                      seed: int = 0) -> List[Fig5Result]:
-    """Deprecated: run the registered ``fig5_accuracy`` experiment."""
-    _warn_legacy("run_fig5_accuracy", "fig5_accuracy")
-    return _run_registered("fig5_accuracy", models=models, samples=samples,
-                           epochs=epochs, eval_samples=eval_samples,
-                           tolerance=tolerance, cam_rows=cam_rows, seed=seed)
-
-
-def run_fig8_cam_overhead(row_sizes: Sequence[int] = (64, 128, 256, 512),
-                          word_sizes: Sequence[int] = (256, 512, 768, 1024)
-                          ) -> Dict[str, object]:
-    """Deprecated: run the registered ``fig8_cam_overhead`` experiment."""
-    _warn_legacy("run_fig8_cam_overhead", "fig8_cam_overhead")
-    return _run_registered("fig8_cam_overhead", row_sizes=row_sizes,
-                           word_sizes=word_sizes)
-
-
-def run_fig9_cycles(cam_rows: int = 64,
-                    networks: Sequence[str] = ("lenet5", "vgg11", "vgg16", "resnet18"),
-                    config: DeepCAMConfig | None = None) -> List[Fig9Row]:
-    """Deprecated: run the registered ``fig9_cycles`` experiment."""
-    _warn_legacy("run_fig9_cycles", "fig9_cycles")
-    return _run_registered("fig9_cycles", cam_rows=cam_rows, networks=networks,
-                           config=config)
-
-
-def run_fig10_energy(cam_rows_list: Sequence[int] = (64, 512),
-                     dataflows: Sequence[Dataflow] = (Dataflow.WEIGHT_STATIONARY,
-                                                      Dataflow.ACTIVATION_STATIONARY),
-                     networks: Sequence[str] = ("lenet5", "vgg11", "vgg16", "resnet18"),
-                     config: DeepCAMConfig | None = None) -> List[Fig10Row]:
-    """Deprecated: run the registered ``fig10_energy`` experiment."""
-    _warn_legacy("run_fig10_energy", "fig10_energy")
-    return _run_registered("fig10_energy", cam_rows_list=cam_rows_list,
-                           dataflows=dataflows, networks=networks, config=config)
-
-
-def run_table1_setup() -> List[Dict[str, str]]:
-    """Deprecated: run the registered ``table1_setup`` experiment."""
-    _warn_legacy("run_table1_setup", "table1_setup")
-    return _run_registered("table1_setup")
-
-
-def run_table2_pim_comparison(cam_rows: int = 64,
-                              config: DeepCAMConfig | None = None) -> List[Table2Row]:
-    """Deprecated: run the registered ``table2_pim_comparison`` experiment."""
-    _warn_legacy("run_table2_pim_comparison", "table2_pim_comparison")
-    return _run_registered("table2_pim_comparison", cam_rows=cam_rows, config=config)
-
-
-def run_headline_claims(cam_rows: int = 64) -> Dict[str, float]:
-    """Deprecated: run the registered ``headline_claims`` experiment."""
-    _warn_legacy("run_headline_claims", "headline_claims")
-    return _run_registered("headline_claims", cam_rows=cam_rows)

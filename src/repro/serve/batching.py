@@ -26,8 +26,6 @@ from typing import Any, List, Optional
 
 import numpy as np
 
-from repro.exec import EXECUTOR_NAMES
-
 #: Queue-full policies: block the producer, or fail fast with
 #: :class:`QueueFullError`.
 FULL_POLICIES = ("block", "reject")
@@ -73,17 +71,10 @@ class ServeConfig:
         doorkeeper threshold of :class:`~repro.serve.cache.PackedSignatureCache`).
         ``1`` admits immediately (plain LRU, the default); ``2`` keeps
         one-shot flood traffic from evicting the working set.
-    executor:
-        Execution-plane engine the served engine's fan-outs should use
-        (``"inline"`` and ``"threads"`` cap the in-process kernel at one
-        CPU and at the worker budget; ``"processes"`` fans out to
-        workers).  ``None`` (default) leaves the engine's own
-        configuration -- and the ``REPRO_EXECUTOR`` environment
-        variable -- in charge.  Purely a
-        deployment knob carried to engine builders (the load generator
-        and benches thread it into
-        :func:`repro.shard.engine.build_demo_sharded_engine`); the
-        server itself never touches it.
+
+    The execution-plane engine is the served engine's own setting
+    (``ShardedEngine(executor=...)`` or ``REPRO_EXECUTOR``), not the
+    server's.
     """
 
     max_batch: int = 64
@@ -95,7 +86,6 @@ class ServeConfig:
     poll_timeout_ms: float = 50.0
     adaptive_wait: bool = False
     cache_admission: int = 1
-    executor: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
@@ -116,10 +106,6 @@ class ServeConfig:
             raise ValueError("poll_timeout_ms must be positive")
         if self.cache_admission <= 0:
             raise ValueError("cache_admission must be positive")
-        if self.executor is not None and self.executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_NAMES}, got {self.executor!r}"
-            )
 
 
 @dataclass

@@ -1,6 +1,9 @@
 """Tests for the benchmark harness behind ``make bench``."""
 
 import json
+import math
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from repro.api.bench import (
     BENCH_SCHEMA_VERSION,
     BenchRecord,
     NET_MAX_REMOTE_VS_INPROC,
+    SERVE_ACCEPTANCE_MIN_SPEEDUP,
+    _floor_gate,
     benchmark_callable,
     collect_environment,
     e2e_benchmarks,
@@ -16,9 +21,12 @@ from repro.api.bench import (
     net_benchmarks,
     record_from_times,
     serve_benchmarks,
+    serve_window,
     time_callable,
     write_bench_report,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestTiming:
@@ -52,7 +60,7 @@ class TestTiming:
 
 class TestReports:
     def test_environment_fields(self):
-        env = collect_environment("/root/repo")
+        env = collect_environment(REPO_ROOT)
         assert set(env) >= {"commit", "timestamp", "python", "numpy",
                             "platform", "have_bitwise_count"}
         assert env["numpy"] == np.__version__
@@ -70,6 +78,63 @@ class TestReports:
         assert loaded["mode"] == "quick"
         assert loaded["benchmarks"][0]["name"] == "a"
         assert loaded["environment"]["commit"] == "abc"
+
+
+class TestFloorGate:
+    def test_passes_at_the_floor_and_fails_just_below(self):
+        assert _floor_gate("w", 5.0, 5.0)["passed"] is True
+        assert _floor_gate("w", math.nextafter(5.0, 0.0), 5.0)["passed"] is False
+
+    def test_key_set_is_the_serve_gate_key_set(self):
+        gate = _floor_gate("uniform_1000_requests", 6.0,
+                           SERVE_ACCEPTANCE_MIN_SPEEDUP, max_batch=64)
+        assert set(gate) == {"workload", "max_batch", "speedup",
+                             "min_required_speedup", "passed"}
+        assert gate["min_required_speedup"] == SERVE_ACCEPTANCE_MIN_SPEEDUP
+
+
+class _FailingEngine:
+    """Every batch fails in ``execute``."""
+
+    name = "failing"
+    output_dim = 1
+
+    def prepare(self, queries):
+        from repro.serve import PreparedBatch
+        return PreparedBatch(queries=np.asarray(queries, dtype=np.float64))
+
+    def execute(self, prepared):
+        raise RuntimeError("engine failed")
+
+
+class TestServeWindow:
+    def test_failure_reraises_and_releases_server_and_tracer(self):
+        from repro.obs import InMemoryExporter, Tracer
+        from repro.serve import ServeConfig
+
+        before = set(threading.enumerate())
+        tracer = Tracer(exporters=[InMemoryExporter()])
+        config = ServeConfig(max_batch=4, max_wait_ms=1.0, cache_capacity=0)
+        with pytest.raises(RuntimeError, match="engine failed"):
+            serve_window(_FailingEngine(), np.ones((8, 4)), config, tracer)
+        assert tracer.snapshot()["spans_ended"] > 0  # the exporter had work
+        leftover = [thread.name for thread in threading.enumerate()
+                    if thread not in before]
+        assert not [name for name in leftover
+                    if name.startswith("repro-serve-")
+                    or name == "repro-obs-export"], leftover
+
+    def test_returns_seconds_responses_and_stats(self):
+        from repro.serve import ServeConfig, build_demo_engine
+
+        engine = build_demo_engine(classes=4, input_dim=8, hash_length=64)
+        queries = np.random.default_rng(0).standard_normal((6, 8))
+        seconds, responses, stats = serve_window(
+            engine, queries, ServeConfig(max_batch=4, cache_capacity=0))
+        assert seconds > 0.0
+        assert np.array_equal(np.stack(responses),
+                              engine.execute(engine.prepare(queries)))
+        assert stats["requests"]["completed"] == 6
 
 
 class TestSuites:

@@ -1,12 +1,10 @@
-"""Registry error paths and the legacy ``run_*`` deprecation wrappers.
+"""Registry error paths and the native shapes of registered experiments.
 
 Complements ``test_registry.py`` / ``test_runner.py``: every failure mode
 of the two registries (unknown key, duplicate key, overwrite, unregister of
-a missing key) and a sweep asserting that *every* legacy experiment entry
-point still warns ``DeprecationWarning`` and returns its historical shape.
+a missing key) and a sweep asserting that the cheap paper experiments
+still return their historical shapes as ``ExperimentResult.raw``.
 """
-
-import warnings
 
 import pytest
 
@@ -16,7 +14,7 @@ from repro.api.experiments import (
     DuplicateExperimentError,
     ExperimentNotFoundError,
 )
-from repro.evaluation import experiments as legacy
+from repro.evaluation.experiments import Fig9Row
 
 
 class TestBackendRegistryErrorPaths:
@@ -79,55 +77,27 @@ class TestExperimentRegistryErrorPaths:
         assert "never-registered" not in api.list_experiments()
 
 
-#: Every legacy wrapper with parameters cheap enough for the tier-1 suite
-#: (fig5 trains models and is exercised by the evaluation tests instead).
-LEGACY_WRAPPERS = {
-    "run_fig2_dot_product_sweep": {"hash_lengths": (64,), "seeds": (0,)},
-    "run_fig8_cam_overhead": {"row_sizes": (64,), "word_sizes": (256,)},
-    "run_fig9_cycles": {"cam_rows": 64, "networks": ("lenet5",)},
-    "run_fig10_energy": {"cam_rows_list": (64,), "networks": ("lenet5",)},
-    "run_table1_setup": {},
-    "run_table2_pim_comparison": {"cam_rows": 64},
-    "run_headline_claims": {"cam_rows": 64},
-}
-
-
-class TestLegacyWrapperDeprecations:
-    @pytest.mark.parametrize("func_name", sorted(LEGACY_WRAPPERS))
-    def test_wrapper_warns_and_names_the_replacement(self, func_name):
-        wrapper = getattr(legacy, func_name)
-        experiment = func_name.removeprefix("run_")
-        with pytest.warns(DeprecationWarning, match="ExperimentRunner"):
-            wrapper(**LEGACY_WRAPPERS[func_name])
-        # The warning text must point at the registered replacement spec.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            wrapper(**LEGACY_WRAPPERS[func_name])
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any(experiment in message for message in messages), messages
-
-    def test_wrapper_results_keep_their_historical_shapes(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sweep = legacy.run_fig2_dot_product_sweep(hash_lengths=(64,),
-                                                      seeds=(0,))
-            assert set(sweep) == {64}
-            fig8 = legacy.run_fig8_cam_overhead(row_sizes=(64,),
-                                                word_sizes=(256,))
-            assert isinstance(fig8, dict)
-            rows9 = legacy.run_fig9_cycles(cam_rows=64, networks=("lenet5",))
-            assert len(rows9) == 1 and rows9[0].network == "lenet5"
-            rows10 = legacy.run_fig10_energy(cam_rows_list=(64,),
-                                             networks=("lenet5",))
-            assert all(hasattr(row, "network") for row in rows10)
-            table2 = legacy.run_table2_pim_comparison(cam_rows=64)
-            assert isinstance(table2, list) and table2
-            headline = legacy.run_headline_claims(cam_rows=64)
-            assert isinstance(headline, dict)
-            assert headline  # non-empty claims mapping
-
-    def test_every_wrapper_resolves_to_a_registered_spec(self):
-        registered = set(api.list_experiments())
-        for func_name in LEGACY_WRAPPERS:
-            assert func_name.removeprefix("run_") in registered
+class TestRegisteredExperimentShapes:
+    def test_raw_results_keep_their_historical_shapes(self):
+        runner = api.ExperimentRunner()
+        sweep = runner.run("fig2_dot_product_sweep", hash_lengths=(64,),
+                           seeds=(0,)).raw
+        assert set(sweep) == {64}
+        fig8 = runner.run("fig8_cam_overhead", row_sizes=(64,),
+                          word_sizes=(256,)).raw
+        assert isinstance(fig8, dict)
+        rows9 = runner.run("fig9_cycles", cam_rows=64,
+                           networks=("lenet5",)).raw
+        assert len(rows9) == 1 and rows9[0].network == "lenet5"
+        assert isinstance(rows9[0], Fig9Row)
+        rows10 = runner.run("fig10_energy", cam_rows_list=(64,),
+                            networks=("lenet5",)).raw
+        assert all(hasattr(row, "network") for row in rows10)
+        table1 = runner.run("table1_setup").raw
+        assert isinstance(table1, list)
+        assert all(isinstance(row, dict) for row in table1)
+        table2 = runner.run("table2_pim_comparison", cam_rows=64).raw
+        assert isinstance(table2, list) and table2
+        headline = runner.run("headline_claims", cam_rows=64).raw
+        assert isinstance(headline, dict)
+        assert headline  # non-empty claims mapping

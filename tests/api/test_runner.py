@@ -145,23 +145,6 @@ class TestExperimentRunner:
 
 
 class TestLegacyWrappers:
-    def test_run_fig9_emits_deprecation_and_keeps_shape(self):
-        from repro.evaluation.experiments import Fig9Row, run_fig9_cycles
-
-        with pytest.warns(DeprecationWarning, match="ExperimentRunner"):
-            rows = run_fig9_cycles(cam_rows=64, networks=("lenet5",))
-        assert len(rows) == 1
-        assert isinstance(rows[0], Fig9Row)
-        assert rows[0].network == "lenet5"
-
-    def test_run_table1_emits_deprecation_and_keeps_shape(self):
-        from repro.evaluation.experiments import run_table1_setup
-
-        with pytest.warns(DeprecationWarning):
-            table = run_table1_setup()
-        assert isinstance(table, list)
-        assert all(isinstance(row, dict) for row in table)
-
     def test_every_legacy_function_has_a_registered_spec(self):
         registered = set(api.list_experiments())
         for experiment in ("fig2_dot_product_sweep", "fig5_accuracy",
