@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 
 from repro.api.bench import (
+    ACCEPTANCE_MIN_SPEEDUP,
     BENCH_SCHEMA_VERSION,
     BenchRecord,
+    EXECUTOR_ACCEPTANCE_MIN_SPEEDUP,
     NET_MAX_REMOTE_VS_INPROC,
+    RETRIEVAL_ACCEPTANCE_MIN_SPEEDUP,
     SERVE_ACCEPTANCE_MIN_SPEEDUP,
+    SHARD_ACCEPTANCE_MIN_SPEEDUP,
     _floor_gate,
     benchmark_callable,
     collect_environment,
@@ -85,12 +89,32 @@ class TestFloorGate:
         assert _floor_gate("w", 5.0, 5.0)["passed"] is True
         assert _floor_gate("w", math.nextafter(5.0, 0.0), 5.0)["passed"] is False
 
-    def test_key_set_is_the_serve_gate_key_set(self):
-        gate = _floor_gate("uniform_1000_requests", 6.0,
-                           SERVE_ACCEPTANCE_MIN_SPEEDUP, max_batch=64)
-        assert set(gate) == {"workload", "max_batch", "speedup",
-                             "min_required_speedup", "passed"}
-        assert gate["min_required_speedup"] == SERVE_ACCEPTANCE_MIN_SPEEDUP
+    #: The five floor gates of ``make bench``: floor constant, the detail
+    #: each call site passes, and the exact key set of the gate it reports.
+    FLOOR_GATES = {
+        "kernel": (ACCEPTANCE_MIN_SPEEDUP,
+                   {"unpacked_median_s": 2.0, "packed_median_s": 0.5},
+                   {"unpacked_median_s", "packed_median_s"}),
+        "serve": (SERVE_ACCEPTANCE_MIN_SPEEDUP, {"max_batch": 64},
+                  {"max_batch"}),
+        "shard": (SHARD_ACCEPTANCE_MIN_SPEEDUP, {}, set()),
+        "executor": (EXECUTOR_ACCEPTANCE_MIN_SPEEDUP, {"cores": 4},
+                     {"cores"}),
+        "retrieval": (RETRIEVAL_ACCEPTANCE_MIN_SPEEDUP,
+                      {"partial_median_s": 0.1, "full_median_s": 0.4},
+                      {"partial_median_s", "full_median_s"}),
+    }
+
+    @pytest.mark.parametrize("suite", sorted(FLOOR_GATES))
+    def test_key_set_is_the_suite_gate_key_set(self, suite):
+        floor, detail, detail_keys = self.FLOOR_GATES[suite]
+        gate = _floor_gate(f"{suite}_cell", floor * 1.5, floor, **detail)
+        assert set(gate) == {"workload", "speedup", "min_required_speedup",
+                             "passed"} | detail_keys
+        assert gate["workload"] == f"{suite}_cell"
+        assert gate["min_required_speedup"] == floor
+        assert gate["passed"] is True
+        assert all(gate[key] == value for key, value in detail.items())
 
 
 class _FailingEngine:

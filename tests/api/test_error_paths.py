@@ -77,27 +77,56 @@ class TestExperimentRegistryErrorPaths:
         assert "never-registered" not in api.list_experiments()
 
 
+def _check_fig2(sweep):
+    assert set(sweep) == {64}
+
+
+def _check_fig8(fig8):
+    assert isinstance(fig8, dict)
+
+
+def _check_fig9(rows9):
+    assert len(rows9) == 1 and rows9[0].network == "lenet5"
+    assert isinstance(rows9[0], Fig9Row)
+
+
+def _check_fig10(rows10):
+    assert all(hasattr(row, "network") for row in rows10)
+
+
+def _check_table1(table1):
+    assert isinstance(table1, list)
+    assert all(isinstance(row, dict) for row in table1)
+
+
+def _check_table2(table2):
+    assert isinstance(table2, list) and table2
+
+
+def _check_headline(headline):
+    assert isinstance(headline, dict)
+    assert headline  # non-empty claims mapping
+
+
+#: Every paper experiment with parameters cheap enough for the tier-1 suite
+#: (fig5 trains models and is exercised by the evaluation tests instead),
+#: with the check of its historical native shape.
+CHEAP_EXPERIMENTS = {
+    "fig2_dot_product_sweep": ({"hash_lengths": (64,), "seeds": (0,)},
+                               _check_fig2),
+    "fig8_cam_overhead": ({"row_sizes": (64,), "word_sizes": (256,)},
+                          _check_fig8),
+    "fig9_cycles": ({"cam_rows": 64, "networks": ("lenet5",)}, _check_fig9),
+    "fig10_energy": ({"cam_rows_list": (64,), "networks": ("lenet5",)},
+                     _check_fig10),
+    "table1_setup": ({}, _check_table1),
+    "table2_pim_comparison": ({"cam_rows": 64}, _check_table2),
+    "headline_claims": ({"cam_rows": 64}, _check_headline),
+}
+
+
 class TestRegisteredExperimentShapes:
-    def test_raw_results_keep_their_historical_shapes(self):
-        runner = api.ExperimentRunner()
-        sweep = runner.run("fig2_dot_product_sweep", hash_lengths=(64,),
-                           seeds=(0,)).raw
-        assert set(sweep) == {64}
-        fig8 = runner.run("fig8_cam_overhead", row_sizes=(64,),
-                          word_sizes=(256,)).raw
-        assert isinstance(fig8, dict)
-        rows9 = runner.run("fig9_cycles", cam_rows=64,
-                           networks=("lenet5",)).raw
-        assert len(rows9) == 1 and rows9[0].network == "lenet5"
-        assert isinstance(rows9[0], Fig9Row)
-        rows10 = runner.run("fig10_energy", cam_rows_list=(64,),
-                            networks=("lenet5",)).raw
-        assert all(hasattr(row, "network") for row in rows10)
-        table1 = runner.run("table1_setup").raw
-        assert isinstance(table1, list)
-        assert all(isinstance(row, dict) for row in table1)
-        table2 = runner.run("table2_pim_comparison", cam_rows=64).raw
-        assert isinstance(table2, list) and table2
-        headline = runner.run("headline_claims", cam_rows=64).raw
-        assert isinstance(headline, dict)
-        assert headline  # non-empty claims mapping
+    @pytest.mark.parametrize("experiment", sorted(CHEAP_EXPERIMENTS))
+    def test_raw_result_keeps_its_historical_shape(self, experiment):
+        params, check = CHEAP_EXPERIMENTS[experiment]
+        check(api.ExperimentRunner().run(experiment, **params).raw)
