@@ -5,9 +5,11 @@ the serve surface and the sharded CAM cluster on real (loopback or LAN)
 HTTP, without changing a single answer -- remote responses are bit-exact
 against in-process execution, which the smoke run verifies end to end:
 
-* :mod:`~repro.net.protocol` -- the wire protocol: versioned JSON
-  envelopes, typed error codes, exact-byte array codecs (base64/hex) and
-  an optional length-prefixed binary framing for packed queries;
+* :mod:`~repro.net.protocol` -- the wire protocol: every array-bearing
+  request and response is one versioned, length-prefixed binary frame
+  with exact array bytes, its fields fixed by one declarative kind table;
+  errors and the GET control routes are versioned JSON envelopes with
+  typed error codes;
 * :class:`~repro.net.server.NetServer` -- a stdlib ``ThreadingHTTPServer``
   fronting any :class:`~repro.serve.engine.InferenceEngine` /
   :class:`~repro.serve.server.MicroBatchServer` (``/v1/classify`` and

@@ -4,9 +4,10 @@
 same ``infer`` / ``infer_many`` / ``topk`` / ``topk_many`` semantics as
 :class:`~repro.serve.client.ServeClient`, empty batches included -- whose
 seam speaks HTTP to a :class:`~repro.net.server.NetServer` instead of
-holding the micro-batch server in-process: one request carries the whole
-batch.  One :class:`~repro.net.transport.RetryingTransport` over one
-pooled :class:`~repro.net.transport.HttpTransport` carries every call, so
+holding the micro-batch server in-process: one binary frame carries the
+whole batch each way (:mod:`repro.net.protocol`).  One
+:class:`~repro.net.transport.RetryingTransport` over one pooled
+:class:`~repro.net.transport.HttpTransport` carries every call, so
 the client gets keep-alive, the connect/read timeout split, retries with
 decorrelated jitter, a retry budget and per-request idempotency keys
 without any per-method wiring::
@@ -39,6 +40,7 @@ from repro.net.transport import (
     RetryingTransport,
     RetryPolicy,
     Transport,
+    TransportResponse,
 )
 from repro.serve.client import ClientCore
 
@@ -101,22 +103,16 @@ class NetClient(ClientCore):
 
     # -- plumbing ----------------------------------------------------------------
 
-    def _call(self, method: str, path: str,
-              envelope: Optional[Dict[str, Any]] = None,
-              accept: Optional[str] = None) -> Dict[str, Any]:
-        """One logical request: send (retried), unwrap the envelope.
+    def _send(self, method: str, path: str, body: bytes = b"",
+              headers: Optional[Dict[str, str]] = None) -> TransportResponse:
+        """One logical request: sent (retried) under a client span.
 
         When tracing, the call runs under a ``client.<verb>`` span whose
         context rides the ``X-Repro-Trace`` header, so the server's
         ``rpc.*`` span (and the whole request tree behind it) shares the
         client's trace id.
         """
-        body = protocol.dumps(envelope) if envelope is not None else b""
-        headers: Dict[str, str] = {}
-        if envelope is not None:
-            headers["Content-Type"] = protocol.CONTENT_TYPE_JSON
-        if accept is not None:
-            headers["Accept"] = accept
+        headers = dict(headers or {})
         if self.tenant is not None:
             headers[protocol.TENANT_HEADER] = self.tenant
         span = (nullcontext() if self.tracer is None else self.tracer.span(
@@ -125,21 +121,29 @@ class NetClient(ClientCore):
         with span:
             # Inside a client span the span is ambient; without a tracer
             # this forwards whatever trace context the caller runs under.
-            response = self.transport.send(method, path, body,
-                                           inject_headers(headers))
-            return protocol.parse_response(response.json())
+            return self.transport.send(method, path, body,
+                                       inject_headers(headers))
+
+    def _call(self, method: str, path: str,
+              accept: Optional[str] = None) -> Dict[str, Any]:
+        """One control request; unwraps the JSON envelope."""
+        headers = {"Accept": accept} if accept is not None else None
+        return protocol.parse_response(
+            self._send(method, path, headers=headers).json())
 
     def _submit(self, batch: np.ndarray, k: Optional[int]
                 ) -> tuple[List[Future], None]:
-        """One request carries the whole batch; its answer is already in."""
+        """One frame carries the whole batch; its answer is already in."""
+        headers = {"Content-Type": protocol.CONTENT_TYPE_FRAME}
         if k is None:
-            kind, decode = "classify", protocol.decode_classify_response
-            payload = protocol.encode_classify_request(batch)
+            # Looked up on the module per call, so tracing can wrap them.
+            body = protocol.encode_classify_request(batch)
+            rows = protocol.decode_classify_response(
+                self._send("POST", "/v1/classify", body, headers).frame())
         else:
-            kind, decode = "topk", protocol.decode_topk_response
-            payload = protocol.encode_topk_request(batch, k)
-        rows = decode(self._call("POST", f"/v1/{kind}",
-                                 protocol.request_envelope(kind, payload)))
+            body = protocol.encode("topk.request", samples=batch, k=k)
+            rows = protocol.decode("topk.response", self._send(
+                "POST", "/v1/topk", body, headers).frame())["rows"]
         answered: Future = Future()
         answered.set_result(rows)
         return [answered], None

@@ -1,43 +1,40 @@
 """The wire protocol of the network-transparent cluster.
 
-Everything that crosses a socket in :mod:`repro.net` is built from three
-layers defined here, all of them pure functions with exact round-trip
-semantics (the property suite asserts encode -> decode identity):
+Everything that crosses a socket in :mod:`repro.net` is one of two things,
+both pure functions of their inputs with exact round-trip semantics (the
+property suite asserts encode -> decode identity for every kind):
 
-* **array codecs** -- ndarrays travel as ``{"dtype", "shape", "encoding",
-  "data"}`` objects with the raw C-order bytes base64- or hex-encoded
-  (:func:`encode_array` / :func:`decode_array`).  Bytes, not digits:
-  float64 logits and uint64 packed signature words survive the wire
-  bit-exactly, which is what lets the remote loadgen verify against
-  in-process execution with ``array_equal`` instead of ``allclose``.
-* **envelopes** -- every JSON request is ``{"v", "kind", "payload"}`` and
-  every response ``{"v", "ok", "result" | "error"}``, with typed error
-  codes (:data:`ERROR_STATUS`) mapping 1:1 onto HTTP statuses.  Version
-  checks happen at the envelope, so incompatible peers fail fast with
-  ``unsupported_version`` instead of misreading payloads.
-* **binary framing** -- the optional length-prefixed frame for packed
-  queries (:func:`encode_array_frame` / :func:`decode_array_frame`):
-  ``magic | u32 header length | header JSON | u32 payload length | raw
-  array bytes``.  The header carries dtype/shape plus any scalar extras
-  (``k``, energy, latency); the payload is the array verbatim -- no base64
-  expansion on the hot scatter-gather path.
+* **binary frames** -- every request and response that carries arrays
+  (``classify`` and ``topk`` on the serve plane; ``shard/write``,
+  ``shard/search`` and ``shard/topk`` on the shard plane) is one
+  length-prefixed frame: ``magic | u32 header length | header JSON | u32
+  payload length | raw array bytes``.  The header names the frame kind and
+  protocol version, the dtype and shape of each named array, and the
+  scalar fields (``k``, placement, energy, latency); the payload is the
+  arrays' C-order bytes back to back.  Bytes, not digits: float64 logits
+  and uint64 packed signature words survive the wire bit-exactly, which is
+  what lets the remote loadgen verify against in-process execution with
+  ``array_equal`` instead of ``allclose``.  One declarative table,
+  :data:`FRAME_KINDS`, fixes every kind's fields (array dtype and rank,
+  scalar type and lower bound) and drives both :func:`encode` and
+  :func:`decode`; the two checks that span fields (a write's ids per row,
+  a candidate set's aligned shapes) are explicit code beside it.
+* **JSON envelopes** -- errors and the GET control routes (healthz,
+  metrics, trace, slo, shard/info) answer ``{"v", "ok", "result" |
+  "error"}``, with typed error codes (:data:`ERROR_STATUS`) mapping 1:1
+  onto HTTP statuses.
 
-On top of those sit the typed request/response payload codecs for the four
-server surfaces: ``classify`` and ``topk`` (the serve plane, float64
-samples in, float64 logits / encoded top-k rows out) and ``shard/search``,
-``shard/topk``, ``shard/write`` (the shard plane, packed uint64 query
-words in, raw mismatch counts or top-k candidates out, with the energy and
-latency accounting riding alongside so the remote cluster's books match
-the in-process ones).
+Frames and envelopes both carry :data:`PROTOCOL_VERSION`, so an
+incompatible peer fails fast with ``unsupported_version`` instead of
+misreading payloads.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
+import math
 import struct
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -56,19 +53,17 @@ TENANT_HEADER = "X-Repro-Tenant"
 #: (seconds, decimal; the retry layer honours fractions).
 RETRY_AFTER_HEADER = "Retry-After"
 
-#: Envelope schema version; peers reject anything else with
-#: ``unsupported_version``.
-PROTOCOL_VERSION = 1
+#: Frame and envelope schema version; peers reject anything else with
+#: ``unsupported_version``.  Version 2 moved every array onto frames.
+PROTOCOL_VERSION = 2
 
 #: Content types the server negotiates on.
 CONTENT_TYPE_JSON = "application/json"
 CONTENT_TYPE_FRAME = "application/x-repro-frame"
 
-#: Magic prefix of a binary frame (4 bytes, version folded into the header).
+#: Magic prefix of a binary frame (4 bytes, version folded into the header,
+#: so an older peer's frame reads as ``unsupported_version``).
 FRAME_MAGIC = b"RPN1"
-
-#: Supported byte encodings of the JSON array codec.
-ARRAY_ENCODINGS = ("b64", "hex")
 
 #: Typed error codes -> HTTP status.  ``error_status`` resolves unknown
 #: codes to 500 so a future peer's new code degrades to a generic server
@@ -118,90 +113,7 @@ class WireError(Exception):
         return error_status(self.code)
 
 
-# -- array codec ---------------------------------------------------------------
-
-
-def encode_array(array: np.ndarray, encoding: str = "b64") -> Dict[str, Any]:
-    """Encode an ndarray as a JSON-safe object (exact bytes, C order)."""
-    if encoding not in ARRAY_ENCODINGS:
-        raise ValueError(
-            f"encoding must be one of {ARRAY_ENCODINGS}, got {encoding!r}")
-    data = np.ascontiguousarray(array)
-    raw = data.tobytes()
-    text = (base64.b64encode(raw) if encoding == "b64"
-            else binascii.hexlify(raw)).decode("ascii")
-    return {
-        "dtype": data.dtype.name,
-        "shape": [int(dim) for dim in data.shape],
-        "encoding": encoding,
-        "data": text,
-    }
-
-
-def decode_array(obj: Any, dtype: Optional[str] = None,
-                 ndim: Optional[int] = None) -> np.ndarray:
-    """Decode :func:`encode_array` output; raises ``bad_request`` on damage."""
-    if not isinstance(obj, Mapping):
-        raise WireError("bad_request", "array object must be a mapping")
-    try:
-        wire_dtype = np.dtype(obj["dtype"])
-        shape = tuple(int(dim) for dim in obj["shape"])
-        encoding = obj.get("encoding", "b64")
-        text = obj["data"]
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireError("bad_request",
-                        f"malformed array object: {error}") from None
-    if encoding not in ARRAY_ENCODINGS:
-        raise WireError("bad_request",
-                        f"unknown array encoding {encoding!r}")
-    if any(dim < 0 for dim in shape):
-        raise WireError("bad_request", f"negative array shape {shape}")
-    if dtype is not None and wire_dtype != np.dtype(dtype):
-        raise WireError("bad_request",
-                        f"expected dtype {dtype}, got {wire_dtype.name}")
-    if ndim is not None and len(shape) != ndim:
-        raise WireError("bad_request",
-                        f"expected a {ndim}-D array, got shape {shape}")
-    try:
-        raw = (base64.b64decode(text, validate=True) if encoding == "b64"
-               else binascii.unhexlify(text))
-    except (binascii.Error, ValueError, TypeError) as error:
-        raise WireError("bad_request",
-                        f"undecodable array data: {error}") from None
-    expected = int(np.prod(shape, dtype=np.int64)) * wire_dtype.itemsize
-    if len(raw) != expected:
-        raise WireError(
-            "bad_request",
-            f"array data holds {len(raw)} bytes, shape {shape} of "
-            f"{wire_dtype.name} needs {expected}")
-    return np.frombuffer(raw, dtype=wire_dtype).reshape(shape).copy()
-
-
 # -- envelopes -----------------------------------------------------------------
-
-
-def request_envelope(kind: str, payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """Wrap one request payload in the versioned envelope."""
-    return {"v": PROTOCOL_VERSION, "kind": kind, "payload": dict(payload)}
-
-
-def parse_request(document: Any, kind: Optional[str] = None) -> Dict[str, Any]:
-    """Validate a request envelope; returns its payload."""
-    if not isinstance(document, Mapping):
-        raise WireError("bad_request", "request body must be a JSON object")
-    version = document.get("v")
-    if version != PROTOCOL_VERSION:
-        raise WireError(
-            "unsupported_version",
-            f"protocol version {version!r} is not {PROTOCOL_VERSION}")
-    if kind is not None and document.get("kind") != kind:
-        raise WireError(
-            "bad_request",
-            f"expected kind {kind!r}, got {document.get('kind')!r}")
-    payload = document.get("payload", {})
-    if not isinstance(payload, Mapping):
-        raise WireError("bad_request", "payload must be a JSON object")
-    return dict(payload)
 
 
 def ok_envelope(result: Mapping[str, Any]) -> Dict[str, Any]:
@@ -274,318 +186,184 @@ def loads(body: bytes) -> Any:
                         f"undecodable JSON body: {error}") from None
 
 
-# -- binary framing ------------------------------------------------------------
 
 
-def encode_frame(header: Mapping[str, Any], payload: bytes) -> bytes:
-    """One length-prefixed binary frame: magic, header JSON, raw payload."""
-    head = dumps({"v": PROTOCOL_VERSION, **header})
+# -- binary frames -------------------------------------------------------------
+
+
+class FrameKind(NamedTuple):
+    """The fields of one frame kind.
+
+    ``arrays`` maps each array field to its ``(dtype, ndim)``; ``scalars``
+    maps each header field to its ``(type, minimum)``, ``None`` meaning
+    unbounded.
+    """
+
+    arrays: Mapping[str, Tuple[str, int]]
+    scalars: Mapping[str, Tuple[type, Optional[int]]]
+
+
+_ACCOUNTING = {"energy_pj": (float, None), "latency_cycles": (int, 0)}
+
+#: Every frame on the wire, one entry per route and direction.
+FRAME_KINDS: Dict[str, FrameKind] = {
+    "classify.request": FrameKind({"samples": ("float64", 2)}, {}),
+    "classify.response": FrameKind({"logits": ("float64", 2)}, {}),
+    "topk.request": FrameKind({"samples": ("float64", 2)}, {"k": (int, 0)}),
+    # Encoded (n, 2 * k_eff) rows: indices then distances.
+    "topk.response": FrameKind({"rows": ("float64", 2)}, {}),
+    # global_ids names the global row each local row stores and id_bound
+    # the cluster's row count: the shard server needs both for the
+    # tie-broken local top-k that makes the remote partial gather exact.
+    "shard_write.request": FrameKind(
+        {"bits": ("uint8", 2), "global_ids": ("int64", 1)},
+        {"start_row": (int, 0), "id_bound": (int, 1)}),
+    "shard_write.response": FrameKind(
+        {}, {"energy_pj": (float, None), "rows_written": (int, 0)}),
+    "shard_search.request": FrameKind({"packed": ("uint64", 2)}, {}),
+    "shard_search.response": FrameKind({"counts": ("int64", 2)}, _ACCOUNTING),
+    "shard_topk.request": FrameKind({"packed": ("uint64", 2)}, {"k": (int, 0)}),
+    # The local candidate set: global ids and their raw mismatch counts.
+    "shard_topk.response": FrameKind(
+        {"indices": ("int64", 2), "raw": ("int64", 2)}, _ACCOUNTING),
+}
+
+
+def _cross_check(kind: str, fields: Mapping[str, Any]) -> Optional[str]:
+    """What is wrong across a frame's fields, or ``None``."""
+    if kind == "shard_write.request":
+        rows, ids = fields["bits"].shape[0], fields["global_ids"]
+        if ids.shape != (rows,):
+            return f"global_ids must have shape ({rows},), got {ids.shape}"
+    if kind == "shard_topk.response":
+        indices, raw = fields["indices"], fields["raw"]
+        if indices.shape != raw.shape:
+            return (f"candidate shapes disagree: {indices.shape} "
+                    f"vs {raw.shape}")
+    return None
+
+
+def encode(kind: str, **fields: Any) -> bytes:
+    """One ``kind`` frame; misuse raises ``ValueError``/``TypeError``."""
+    spec = FRAME_KINDS[kind]
+    if set(fields) != set(spec.arrays) | set(spec.scalars):
+        raise TypeError(f"a {kind!r} frame takes fields "
+                        f"{sorted(spec.arrays) + sorted(spec.scalars)}, "
+                        f"got {sorted(fields)}")
+    header: Dict[str, Any] = {"v": PROTOCOL_VERSION, "kind": kind,
+                              "arrays": {}}
+    for name, (dtype, ndim) in spec.arrays.items():
+        array = fields[name] = np.ascontiguousarray(fields[name], dtype=dtype)
+        if array.ndim != ndim:
+            raise ValueError(
+                f"{name} must be {ndim}-D, got shape {array.shape}")
+        header["arrays"][name] = {"dtype": dtype, "shape": list(array.shape)}
+    for name, (scalar_type, minimum) in spec.scalars.items():
+        value = header[name] = scalar_type(fields[name])
+        if minimum is not None and value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    problem = _cross_check(kind, fields)
+    if problem is not None:
+        raise ValueError(problem)
+    head = dumps(header)
+    arrays = [fields[name] for name in spec.arrays]
     return b"".join((
         FRAME_MAGIC,
         struct.pack("<I", len(head)),
         head,
-        struct.pack("<I", len(payload)),
-        payload,
+        struct.pack("<I", sum(array.nbytes for array in arrays)),
+        *arrays,
     ))
 
 
-def decode_frame(blob: bytes) -> Tuple[Dict[str, Any], bytes]:
-    """Split one binary frame back into ``(header, payload)``."""
-    if len(blob) < len(FRAME_MAGIC) + 4:
-        raise WireError("bad_request", "binary frame is truncated")
-    if blob[: len(FRAME_MAGIC)] != FRAME_MAGIC:
-        raise WireError("bad_request", "binary frame has a bad magic prefix")
+def decode(kind: str, blob: bytes) -> Dict[str, Any]:
+    """The fields of one ``kind`` frame; any damage raises a ``WireError``."""
+    spec = FRAME_KINDS[kind]
+    header, payload = _split_frame(blob)
+    if header.get("kind") != kind:
+        raise WireError("bad_request",
+                        f"expected a {kind!r} frame, got {header.get('kind')!r}")
+    described = header.get("arrays")
+    if (not isinstance(described, Mapping)
+            or set(described) != set(spec.arrays)):
+        raise WireError("bad_request",
+                        f"a {kind!r} frame carries arrays {sorted(spec.arrays)}")
+    fields: Dict[str, Any] = {}
+    offset = 0
+    for name, (dtype, ndim) in spec.arrays.items():
+        try:
+            wire_dtype = np.dtype(described[name]["dtype"])
+            shape = tuple(int(dim) for dim in described[name]["shape"])
+        except (KeyError, TypeError, ValueError) as error:
+            raise WireError("bad_request",
+                            f"malformed {name!r} header: {error}") from None
+        if wire_dtype != np.dtype(dtype):
+            raise WireError("bad_request", f"expected {name} of dtype {dtype}, "
+                                           f"got {wire_dtype.name}")
+        if len(shape) != ndim or any(dim < 0 for dim in shape):
+            raise WireError("bad_request", f"expected {name} as a {ndim}-D "
+                                           f"array, got shape {shape}")
+        size = math.prod(shape) * wire_dtype.itemsize
+        if offset + size > len(payload):
+            raise WireError("bad_request", f"frame payload holds "
+                                           f"{len(payload)} bytes, too few for "
+                                           f"{name} of shape {shape}")
+        fields[name] = np.frombuffer(payload[offset: offset + size],
+                                     dtype=wire_dtype).reshape(shape).copy()
+        offset += size
+    if offset != len(payload):
+        raise WireError("bad_request", f"frame payload holds {len(payload)} "
+                                       f"bytes, its arrays need {offset}")
+    for name, (scalar_type, minimum) in spec.scalars.items():
+        value = header.get(name)
+        if isinstance(value, bool) or not isinstance(
+                value, int if scalar_type is int else (int, float)):
+            raise WireError("bad_request",
+                            f"{kind!r} frame field {name!r} must be of type "
+                            f"{scalar_type.__name__}, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise WireError("bad_request",
+                            f"{name} must be >= {minimum}, got {value}")
+        fields[name] = scalar_type(value)
+    problem = _cross_check(kind, fields)
+    if problem is not None:
+        raise WireError("bad_request", problem)
+    return fields
+
+
+def _split_frame(blob: bytes) -> Tuple[Dict[str, Any], memoryview]:
+    """One frame's ``(header, payload)``, lengths and version checked."""
+    view = memoryview(blob)
     offset = len(FRAME_MAGIC)
-    (header_len,) = struct.unpack_from("<I", blob, offset)
+    if len(view) < offset + 4:
+        raise WireError("bad_request", "binary frame is truncated")
+    if view[:offset] != FRAME_MAGIC:
+        raise WireError("bad_request", "binary frame has a bad magic prefix")
+    (header_len,) = struct.unpack_from("<I", view, offset)
     offset += 4
-    if len(blob) < offset + header_len + 4:
+    if len(view) < offset + header_len + 4:
         raise WireError("bad_request", "binary frame header is truncated")
-    header = loads(blob[offset: offset + header_len])
+    header = loads(bytes(view[offset: offset + header_len]))
     if not isinstance(header, Mapping):
         raise WireError("bad_request", "frame header must be a JSON object")
     offset += header_len
-    (payload_len,) = struct.unpack_from("<I", blob, offset)
+    (payload_len,) = struct.unpack_from("<I", view, offset)
     offset += 4
-    payload = blob[offset: offset + payload_len]
-    if len(payload) != payload_len or len(blob) != offset + payload_len:
+    if len(view) != offset + payload_len:
         raise WireError("bad_request", "binary frame payload length mismatch")
     version = header.get("v")
     if version != PROTOCOL_VERSION:
         raise WireError(
             "unsupported_version",
             f"frame version {version!r} is not {PROTOCOL_VERSION}")
-    return dict(header), payload
+    return header, view[offset:]
 
 
-def encode_array_frame(kind: str, array: np.ndarray,
-                       extra: Optional[Mapping[str, Any]] = None) -> bytes:
-    """A binary frame carrying one ndarray (dtype/shape in the header)."""
-    data = np.ascontiguousarray(array)
-    header = {
-        "kind": kind,
-        "dtype": data.dtype.name,
-        "shape": [int(dim) for dim in data.shape],
-        **(dict(extra) if extra else {}),
-    }
-    return encode_frame(header, data.tobytes())
+def encode_classify_request(samples: np.ndarray) -> bytes:
+    """The ``POST /v1/classify`` frame: a float64 ``(n, input_dim)`` batch."""
+    return encode("classify.request", samples=samples)
 
 
-def decode_array_frame(blob: bytes, kind: Optional[str] = None,
-                       dtype: Optional[str] = None,
-                       ndim: Optional[int] = None
-                       ) -> Tuple[np.ndarray, Dict[str, Any]]:
-    """Decode :func:`encode_array_frame` output; returns ``(array, header)``."""
-    header, payload = decode_frame(blob)
-    if kind is not None and header.get("kind") != kind:
-        raise WireError("bad_request",
-                        f"expected frame kind {kind!r}, "
-                        f"got {header.get('kind')!r}")
-    try:
-        frame_dtype = np.dtype(header["dtype"])
-        shape = tuple(int(dim) for dim in header["shape"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise WireError("bad_request",
-                        f"malformed frame header: {error}") from None
-    if dtype is not None and frame_dtype != np.dtype(dtype):
-        raise WireError("bad_request",
-                        f"expected frame dtype {dtype}, "
-                        f"got {frame_dtype.name}")
-    if ndim is not None and len(shape) != ndim:
-        raise WireError("bad_request",
-                        f"expected a {ndim}-D frame array, got shape {shape}")
-    expected = int(np.prod(shape, dtype=np.int64)) * frame_dtype.itemsize
-    if len(payload) != expected:
-        raise WireError(
-            "bad_request",
-            f"frame payload holds {len(payload)} bytes, shape {shape} of "
-            f"{frame_dtype.name} needs {expected}")
-    array = np.frombuffer(payload, dtype=frame_dtype).reshape(shape).copy()
-    return array, header
-
-
-# -- serve plane payloads ------------------------------------------------------
-
-
-def encode_classify_request(samples: np.ndarray,
-                            encoding: str = "b64") -> Dict[str, Any]:
-    """Payload of ``POST /v1/classify``: a float64 ``(n, input_dim)`` batch."""
-    data = np.asarray(samples, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError(f"samples must be 2-D, got shape {data.shape}")
-    return {"samples": encode_array(data, encoding)}
-
-
-def decode_classify_request(payload: Mapping[str, Any]) -> np.ndarray:
-    """Inverse of :func:`encode_classify_request`."""
-    if "samples" not in payload:
-        raise WireError("bad_request", "classify payload needs 'samples'")
-    return decode_array(payload["samples"], dtype="float64", ndim=2)
-
-
-def encode_classify_response(logits: np.ndarray,
-                             encoding: str = "b64") -> Dict[str, Any]:
-    """Result of ``POST /v1/classify``: the ``(n, output_dim)`` logits."""
-    return {"logits": encode_array(np.asarray(logits, dtype=np.float64),
-                                   encoding)}
-
-
-def decode_classify_response(result: Mapping[str, Any]) -> np.ndarray:
-    """Inverse of :func:`encode_classify_response`."""
-    if "logits" not in result:
-        raise WireError("bad_request", "classify result needs 'logits'")
-    return decode_array(result["logits"], dtype="float64", ndim=2)
-
-
-def encode_topk_request(samples: np.ndarray, k: int,
-                        encoding: str = "b64") -> Dict[str, Any]:
-    """Payload of ``POST /v1/topk``: a sample batch plus the neighbour count."""
-    payload = encode_classify_request(samples, encoding)
-    size = int(k)
-    if size < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    payload["k"] = size
-    return payload
-
-
-def decode_topk_request(payload: Mapping[str, Any]) -> Tuple[np.ndarray, int]:
-    """Inverse of :func:`encode_topk_request`."""
-    samples = decode_classify_request(payload)
-    try:
-        k = int(payload["k"])
-    except (KeyError, TypeError, ValueError):
-        raise WireError("bad_request",
-                        "topk payload needs an integer 'k'") from None
-    if k < 0:
-        raise WireError("bad_request", f"k must be non-negative, got {k}")
-    return samples, k
-
-
-def encode_topk_response(rows: np.ndarray,
-                         encoding: str = "b64") -> Dict[str, Any]:
-    """Result of ``POST /v1/topk``: encoded ``(n, 2 * k_eff)`` top-k rows."""
-    return {"rows": encode_array(np.asarray(rows, dtype=np.float64), encoding)}
-
-
-def decode_topk_response(result: Mapping[str, Any]) -> np.ndarray:
-    """Inverse of :func:`encode_topk_response`."""
-    if "rows" not in result:
-        raise WireError("bad_request", "topk result needs 'rows'")
-    return decode_array(result["rows"], dtype="float64", ndim=2)
-
-
-# -- shard plane payloads ------------------------------------------------------
-
-
-def encode_shard_search_request(packed: np.ndarray,
-                                encoding: str = "b64") -> Dict[str, Any]:
-    """Payload of ``POST /v1/shard/search``: packed uint64 query words."""
-    data = np.ascontiguousarray(packed, dtype=np.uint64)
-    if data.ndim != 2:
-        raise ValueError(f"packed queries must be 2-D, got shape {data.shape}")
-    return {"packed": encode_array(data, encoding)}
-
-
-def decode_shard_search_request(payload: Mapping[str, Any]) -> np.ndarray:
-    """Inverse of :func:`encode_shard_search_request`."""
-    if "packed" not in payload:
-        raise WireError("bad_request", "shard search payload needs 'packed'")
-    return decode_array(payload["packed"], dtype="uint64", ndim=2)
-
-
-def encode_shard_search_response(counts: np.ndarray, energy_pj: float,
-                                 latency_cycles: int,
-                                 encoding: str = "b64") -> Dict[str, Any]:
-    """Result of ``POST /v1/shard/search``: raw counts plus the accounting."""
-    return {
-        "counts": encode_array(np.asarray(counts, dtype=np.int64), encoding),
-        "energy_pj": float(energy_pj),
-        "latency_cycles": int(latency_cycles),
-    }
-
-
-def decode_shard_search_response(result: Mapping[str, Any]
-                                 ) -> Tuple[np.ndarray, float, int]:
-    """Inverse of :func:`encode_shard_search_response`."""
-    if "counts" not in result:
-        raise WireError("bad_request", "shard search result needs 'counts'")
-    counts = decode_array(result["counts"], dtype="int64", ndim=2)
-    return counts, _number(result, "energy_pj"), int(_number(result,
-                                                            "latency_cycles"))
-
-
-def encode_shard_topk_request(packed: np.ndarray, k: int,
-                              encoding: str = "b64") -> Dict[str, Any]:
-    """Payload of ``POST /v1/shard/topk``: packed words plus the local k."""
-    payload = encode_shard_search_request(packed, encoding)
-    size = int(k)
-    if size < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    payload["k"] = size
-    return payload
-
-
-def decode_shard_topk_request(payload: Mapping[str, Any]
-                              ) -> Tuple[np.ndarray, int]:
-    """Inverse of :func:`encode_shard_topk_request`."""
-    packed = decode_shard_search_request(payload)
-    try:
-        k = int(payload["k"])
-    except (KeyError, TypeError, ValueError):
-        raise WireError("bad_request",
-                        "shard topk payload needs an integer 'k'") from None
-    if k < 0:
-        raise WireError("bad_request", f"k must be non-negative, got {k}")
-    return packed, k
-
-
-def encode_shard_topk_response(indices: np.ndarray, raw: np.ndarray,
-                               energy_pj: float, latency_cycles: int,
-                               encoding: str = "b64") -> Dict[str, Any]:
-    """Result of ``POST /v1/shard/topk``: the local candidate set.
-
-    ``indices`` are *global* row ids (the shard server learned its global
-    placement from the write requests), ``raw`` the raw mismatch counts of
-    those candidates -- exactly what the in-process partial gather merges,
-    so the remote merge is bit-identical.
-    """
-    return {
-        "indices": encode_array(np.asarray(indices, dtype=np.int64), encoding),
-        "raw": encode_array(np.asarray(raw, dtype=np.int64), encoding),
-        "energy_pj": float(energy_pj),
-        "latency_cycles": int(latency_cycles),
-    }
-
-
-def decode_shard_topk_response(result: Mapping[str, Any]
-                               ) -> Tuple[np.ndarray, np.ndarray, float, int]:
-    """Inverse of :func:`encode_shard_topk_response`."""
-    for field in ("indices", "raw"):
-        if field not in result:
-            raise WireError("bad_request",
-                            f"shard topk result needs {field!r}")
-    indices = decode_array(result["indices"], dtype="int64", ndim=2)
-    raw = decode_array(result["raw"], dtype="int64", ndim=2)
-    if indices.shape != raw.shape:
-        raise WireError("bad_request",
-                        f"candidate shapes disagree: {indices.shape} "
-                        f"vs {raw.shape}")
-    return indices, raw, _number(result, "energy_pj"), int(
-        _number(result, "latency_cycles"))
-
-
-def encode_shard_write_request(bits: np.ndarray, start_row: int,
-                               global_ids: np.ndarray, id_bound: int,
-                               encoding: str = "b64") -> Dict[str, Any]:
-    """Payload of ``POST /v1/shard/write``: a row block plus its placement.
-
-    ``global_ids`` names the global row each local row stores and
-    ``id_bound`` the exclusive bound on row ids (the cluster's total row
-    count) -- the shard server needs both to run the tie-broken local
-    top-k selection that makes the remote partial gather exact.
-    """
-    data = np.asarray(bits, dtype=np.uint8)
-    if data.ndim != 2:
-        raise ValueError(f"bits must be 2-D, got shape {data.shape}")
-    ids = np.asarray(global_ids, dtype=np.int64)
-    if ids.shape != (data.shape[0],):
-        raise ValueError(
-            f"global_ids must have shape ({data.shape[0]},), got {ids.shape}")
-    if int(start_row) < 0 or int(id_bound) <= 0:
-        raise ValueError("start_row must be >= 0 and id_bound positive")
-    return {
-        "bits": encode_array(data, encoding),
-        "start_row": int(start_row),
-        "global_ids": encode_array(ids, encoding),
-        "id_bound": int(id_bound),
-    }
-
-
-def decode_shard_write_request(payload: Mapping[str, Any]
-                               ) -> Tuple[np.ndarray, int, np.ndarray, int]:
-    """Inverse of :func:`encode_shard_write_request`."""
-    for field in ("bits", "start_row", "global_ids", "id_bound"):
-        if field not in payload:
-            raise WireError("bad_request",
-                            f"shard write payload needs {field!r}")
-    bits = decode_array(payload["bits"], dtype="uint8", ndim=2)
-    global_ids = decode_array(payload["global_ids"], dtype="int64", ndim=1)
-    start_row = int(_number(payload, "start_row"))
-    id_bound = int(_number(payload, "id_bound"))
-    if global_ids.shape != (bits.shape[0],):
-        raise WireError(
-            "bad_request",
-            f"global_ids must have shape ({bits.shape[0]},), "
-            f"got {global_ids.shape}")
-    if start_row < 0 or id_bound <= 0:
-        raise WireError("bad_request",
-                        "start_row must be >= 0 and id_bound positive")
-    return bits, start_row, global_ids, id_bound
-
-
-def _number(mapping: Mapping[str, Any], field: str) -> float:
-    """One numeric field of a payload; raises ``bad_request`` when absent."""
-    try:
-        return float(mapping[field])
-    except (KeyError, TypeError, ValueError):
-        raise WireError("bad_request",
-                        f"payload needs a numeric {field!r}") from None
+def decode_classify_response(blob: bytes) -> np.ndarray:
+    """The ``(n, output_dim)`` logits of a ``POST /v1/classify`` answer."""
+    return decode("classify.response", blob)["logits"]

@@ -5,7 +5,7 @@ network-transparent cluster:
 
 * :class:`RemoteShardTransport` -- one shard replica's *port*.  It speaks
   the shard plane of a :class:`~repro.net.server.NetServer` (write /
-  search / local top-k, binary frames on the hot paths) behind the exact
+  search / local top-k, one binary frame each way) behind the exact
   surface the pipeline expects of a port (``write_rows`` /
   ``mismatch_counts_packed``), so the pipeline's scatter, fan-out and
   re-replication machinery drive it unchanged.  Each transport knows its
@@ -87,9 +87,6 @@ class RemoteShardTransport:
     transport_factory:
         Optional ``base_url -> Transport`` override; tests inject
         :class:`~repro.net.transport.FlakyTransport` stacks here.
-    use_frames:
-        Binary frames on the search/topk hot paths (default); ``False``
-        forces JSON envelopes everywhere.
     """
 
     def __init__(self, base_url: str, global_rows: np.ndarray,
@@ -98,13 +95,12 @@ class RemoteShardTransport:
                  connect_timeout_s: float = 5.0,
                  read_timeout_s: float = 30.0,
                  seed: Optional[int] = None,
-                 transport_factory: Optional[TransportFactory] = None,
-                 use_frames: bool = True) -> None:
+                 transport_factory: Optional[TransportFactory] = None
+                 ) -> None:
         self.base_url = base_url.rstrip("/")
         self.global_rows = np.asarray(global_rows, dtype=np.int64)
         self.id_bound = int(id_bound)
         self.word_bits = int(word_bits)
-        self.use_frames = bool(use_frames)
         if transport_factory is None:
             inner: Transport = HttpTransport(
                 self.base_url, connect_timeout_s=connect_timeout_s,
@@ -123,30 +119,19 @@ class RemoteShardTransport:
 
     # -- plumbing ----------------------------------------------------------------
 
-    def _call_json(self, method: str, path: str,
-                   envelope: Optional[Dict[str, Any]] = None
-                   ) -> Dict[str, Any]:
-        headers: Dict[str, str] = {}
-        if envelope is not None:
-            headers["Content-Type"] = protocol.CONTENT_TYPE_JSON
-        body = protocol.dumps(envelope) if envelope is not None else b""
+    def _get(self, path: str) -> Dict[str, Any]:
         # Any ambient trace context (the serve plane's fan-out span)
         # rides along, so remote shard spans join the request's trace.
-        headers = inject_headers(headers)
-        response = self.transport.send(method, path, body, headers)
+        response = self.transport.send("GET", path, b"", inject_headers({}))
         return protocol.parse_response(response.json())
 
-    def _call_frame(self, path: str, frame: bytes, kind: str
-                    ) -> Tuple[np.ndarray, Dict[str, Any]]:
+    def _post(self, path: str, kind: str, **fields: Any) -> Dict[str, Any]:
+        """One frame each way: ``kind``'s request fields in, answer out."""
         headers = inject_headers({"Content-Type": protocol.CONTENT_TYPE_FRAME})
-        response = self.transport.send("POST", path, frame, headers)
-        if response.content_type == protocol.CONTENT_TYPE_FRAME:
-            return protocol.decode_array_frame(response.body, kind=kind)
-        # Failures always arrive as JSON envelopes; this raises the typed
-        # WireError the server reported.
-        protocol.parse_response(response.json())
-        raise protocol.WireError(
-            "bad_request", f"expected a {kind} frame, got JSON success")
+        response = self.transport.send(
+            "POST", path, protocol.encode(f"{kind}.request", **fields),
+            headers)
+        return protocol.decode(f"{kind}.response", response.frame())
 
     # -- the port surface --------------------------------------------------------
 
@@ -154,69 +139,36 @@ class RemoteShardTransport:
         """Store one local row block remotely, teaching the placement."""
         bits = np.asarray(bits_matrix, dtype=np.uint8)
         stop = start_row + bits.shape[0]
-        result = self._call_json(
-            "POST", "/v1/shard/write",
-            protocol.request_envelope("shard_write",
-                                      protocol.encode_shard_write_request(
-                                          bits, start_row,
-                                          self.global_rows[start_row:stop],
-                                          self.id_bound)))
-        return float(result.get("energy_pj", 0.0))
+        return self._post("/v1/shard/write", "shard_write", bits=bits,
+                          start_row=start_row,
+                          global_ids=self.global_rows[start_row:stop],
+                          id_bound=self.id_bound)["energy_pj"]
 
     def mismatch_counts_packed(self, packed_queries: np.ndarray
                                ) -> Tuple[np.ndarray, float, int]:
         """Raw mismatch counts of the whole remote shard (full gather)."""
-        packed = np.ascontiguousarray(packed_queries, dtype=np.uint64)
-        if self.use_frames:
-            counts, header = self._call_frame(
-                "/v1/shard/search",
-                protocol.encode_array_frame("shard_search", packed),
-                kind="shard_counts")
-            return (counts.astype(np.int64, copy=False),
-                    float(header.get("energy_pj", 0.0)),
-                    int(header.get("latency_cycles", 0)))
-        result = self._call_json(
-            "POST", "/v1/shard/search",
-            protocol.request_envelope(
-                "shard_search",
-                protocol.encode_shard_search_request(packed)))
-        return protocol.decode_shard_search_response(result)
+        answer = self._post("/v1/shard/search", "shard_search",
+                            packed=packed_queries)
+        return (answer["counts"], answer["energy_pj"],
+                answer["latency_cycles"])
 
     def topk_candidates(self, packed_queries: np.ndarray, k: int
                         ) -> Tuple[np.ndarray, np.ndarray, float, int]:
         """The remote local top-k candidate set (global ids + raw counts)."""
-        packed = np.ascontiguousarray(packed_queries, dtype=np.uint64)
-        if self.use_frames:
-            stacked, header = self._call_frame(
-                "/v1/shard/topk",
-                protocol.encode_array_frame("shard_topk", packed,
-                                            extra={"k": int(k)}),
-                kind="shard_candidates")
-            if stacked.ndim != 3 or stacked.shape[0] != 2:
-                raise protocol.WireError(
-                    "bad_request",
-                    f"candidate frame must stack (2, n, k), "
-                    f"got {stacked.shape}")
-            return (stacked[0].astype(np.int64, copy=False),
-                    stacked[1].astype(np.int64, copy=False),
-                    float(header.get("energy_pj", 0.0)),
-                    int(header.get("latency_cycles", 0)))
-        result = self._call_json(
-            "POST", "/v1/shard/topk",
-            protocol.request_envelope(
-                "shard_topk",
-                protocol.encode_shard_topk_request(packed, k)))
-        return protocol.decode_shard_topk_response(result)
+        answer = self._post("/v1/shard/topk", "shard_topk",
+                            packed=packed_queries, k=k)
+        return (answer["indices"], answer["raw"], answer["energy_pj"],
+                answer["latency_cycles"])
 
     # -- health ------------------------------------------------------------------
 
     def healthz(self) -> Dict[str, Any]:
         """The replica's liveness document (raises on a dead endpoint)."""
-        return self._call_json("GET", "/v1/healthz")
+        return self._get("/v1/healthz")
 
     def info(self) -> Dict[str, Any]:
         """The replica's geometry handshake."""
-        return self._call_json("GET", "/v1/shard/info")
+        return self._get("/v1/shard/info")
 
     def close(self) -> None:
         self.transport.close()
@@ -249,7 +201,6 @@ class RemoteCamCluster(ShardedCamPipeline):
                  connect_timeout_s: float = 5.0,
                  read_timeout_s: float = 30.0,
                  transport_factory: Optional[TransportFactory] = None,
-                 use_frames: bool = True,
                  num_workers: Optional[int] = None,
                  observers: Any = ()) -> None:
         grid = [list(replicas) for replicas in endpoints]
@@ -266,7 +217,6 @@ class RemoteCamCluster(ShardedCamPipeline):
         self._connect_timeout_s = float(connect_timeout_s)
         self._read_timeout_s = float(read_timeout_s)
         self._transport_factory = transport_factory
-        self._use_frames = bool(use_frames)
         self._net_lock = threading.Lock()
         self._failovers = 0
         self._re_replications = 0
@@ -289,8 +239,7 @@ class RemoteCamCluster(ShardedCamPipeline):
             retry=self._shard_retry,
             connect_timeout_s=self._connect_timeout_s,
             read_timeout_s=self._read_timeout_s,
-            transport_factory=self._transport_factory,
-            use_frames=self._use_frames)
+            transport_factory=self._transport_factory)
 
     def _new_port(self, spec: ShardSpec, replica: int) -> RemoteShardTransport:
         return self._make_port(self._endpoints[spec.index][replica], spec)
@@ -497,7 +446,6 @@ class RemoteShardedEngine(ShardedEngine):
                  connect_timeout_s: float = 5.0,
                  read_timeout_s: float = 30.0,
                  transport_factory: Optional[TransportFactory] = None,
-                 use_frames: bool = True,
                  num_shard_workers: Optional[int] = None,
                  observers: Any = (), **engine_kwargs: Any) -> None:
         grid = [list(replicas) for replicas in endpoints]
@@ -507,7 +455,6 @@ class RemoteShardedEngine(ShardedEngine):
         self._net_connect_timeout_s = connect_timeout_s
         self._net_read_timeout_s = read_timeout_s
         self._net_transport_factory = transport_factory
-        self._net_use_frames = use_frames
         super().__init__(prototypes, num_shards=len(grid), policy=policy,
                          num_replicas=len(grid[0]) if grid else 0,
                          routing=routing, fanout="ports",
@@ -527,7 +474,6 @@ class RemoteShardedEngine(ShardedEngine):
             connect_timeout_s=self._net_connect_timeout_s,
             read_timeout_s=self._net_read_timeout_s,
             transport_factory=self._net_transport_factory,
-            use_frames=self._net_use_frames,
             num_workers=self._num_shard_workers,
             observers=self._shard_observers)
 

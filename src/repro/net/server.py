@@ -33,9 +33,10 @@ One server exposes one of two surfaces:
   - ``GET  /v1/shard/info``   -- geometry handshake for attaching transports;
   - ``GET  /v1/healthz`` / ``GET /v1/metrics``.
 
-The two hot shard routes speak both JSON envelopes and the length-prefixed
-binary framing; the response mirrors the request's framing, so a client
-that sends frames never pays base64 on either direction.
+Every POST route takes and answers one binary frame
+(:func:`repro.net.protocol.encode`); a body of any other media type gets
+415 ``unsupported_media``.  Errors and the GET routes answer JSON
+envelopes.
 """
 
 from __future__ import annotations
@@ -255,36 +256,39 @@ class NetApp:
 
     def _route(self, method: str, path: str, headers: Mapping[str, str],
                body: bytes) -> Response:
-        routes = {
-            ("GET", "/v1/healthz"): self._healthz,
-            ("GET", "/v1/metrics"): self._metrics,
-            ("GET", "/v1/trace"): self._trace,
-            ("GET", "/v1/slo"): self._slo,
+        gets = {
+            "/v1/healthz": self._healthz,
+            "/v1/metrics": self._metrics,
+            "/v1/trace": self._trace,
+            "/v1/slo": self._slo,
         }
+        # POST path -> (frame kind, handler of the decoded request fields).
+        posts = {}
         if self.server is not None:
-            routes[("POST", "/v1/classify")] = self._classify
-            routes[("POST", "/v1/topk")] = self._topk
+            posts["/v1/classify"] = ("classify", self._classify)
+            posts["/v1/topk"] = ("topk", self._topk)
         if self.shard is not None:
-            routes[("GET", "/v1/shard/info")] = self._shard_info
-            routes[("POST", "/v1/shard/write")] = self._shard_write
-            routes[("POST", "/v1/shard/search")] = self._shard_search
-            routes[("POST", "/v1/shard/topk")] = self._shard_topk
-        handler = routes.get((method, path))
-        if handler is None:
-            known = {route_path for _, route_path in routes}
-            if path in known:
+            gets["/v1/shard/info"] = self._shard_info
+            posts["/v1/shard/write"] = ("shard_write", self._shard_write)
+            posts["/v1/shard/search"] = ("shard_search", self._shard_search)
+            posts["/v1/shard/topk"] = ("shard_topk", self._shard_topk)
+        routes = {"GET": gets, "POST": posts}.get(method, {})
+        if path not in routes:
+            if path in gets or path in posts:
                 raise protocol.WireError(
                     "method_not_allowed", f"{method} not allowed on {path}")
             raise protocol.WireError("not_found", f"no route {path}")
-        if method == "POST":
-            content_type = headers.get("content-type", "").split(";")[0].strip()
-            if content_type not in (protocol.CONTENT_TYPE_JSON,
-                                    protocol.CONTENT_TYPE_FRAME):
-                raise protocol.WireError(
-                    "unsupported_media",
-                    f"unsupported content type {content_type!r}")
-            return handler(content_type, body, headers)
-        return handler(headers)
+        if method == "GET":
+            return gets[path](headers)
+        content_type = headers.get("content-type", "").split(";")[0].strip()
+        if content_type != protocol.CONTENT_TYPE_FRAME:
+            raise protocol.WireError(
+                "unsupported_media",
+                f"unsupported content type {content_type!r}")
+        kind, handler = posts[path]
+        answer = handler(protocol.decode(f"{kind}.request", body), headers)
+        return (200, protocol.CONTENT_TYPE_FRAME,
+                protocol.encode(f"{kind}.response", **answer))
 
     def _rpc_span(self, name: str, headers: Mapping[str, str],
                   **attributes: Any):
@@ -392,19 +396,15 @@ class NetApp:
 
     # -- serve plane -------------------------------------------------------------
 
-    def _classify(self, content_type: str, body: bytes,
-                  headers: Mapping[str, str]) -> Response:
-        samples = protocol.decode_classify_request(
-            protocol.parse_request(protocol.loads(body), "classify"))
-        logits = self._serve_batch("rpc.classify", headers, samples)
-        return self._ok_response(protocol.encode_classify_response(logits))
+    def _classify(self, request: Dict[str, Any],
+                  headers: Mapping[str, str]) -> Dict[str, Any]:
+        return {"logits": self._serve_batch("rpc.classify", headers,
+                                            request["samples"])}
 
-    def _topk(self, content_type: str, body: bytes,
-              headers: Mapping[str, str]) -> Response:
-        samples, k = protocol.decode_topk_request(
-            protocol.parse_request(protocol.loads(body), "topk"))
-        rows = self._serve_batch("rpc.topk", headers, samples, k)
-        return self._ok_response(protocol.encode_topk_response(rows))
+    def _topk(self, request: Dict[str, Any],
+              headers: Mapping[str, str]) -> Dict[str, Any]:
+        return {"rows": self._serve_batch("rpc.topk", headers,
+                                          request["samples"], request["k"])}
 
     def _serve_batch(self, name: str, headers: Mapping[str, str],
                      samples: np.ndarray, k: Optional[int] = None
@@ -436,68 +436,32 @@ class NetApp:
     def _shard_info(self, headers: Mapping[str, str]) -> Response:
         return self._ok_response(self.shard.info())
 
-    def _shard_write(self, content_type: str, body: bytes,
-                     headers: Mapping[str, str]) -> Response:
-        bits, start_row, global_ids, id_bound = (
-            protocol.decode_shard_write_request(
-                protocol.parse_request(protocol.loads(body), "shard_write")))
-        with self._rpc_span("rpc.shard_write", headers,
-                            rows=int(bits.shape[0])):
-            energy = self.shard.write(bits, start_row, global_ids, id_bound)
-        return self._ok_response({"energy_pj": energy,
-                                  "rows_written": int(bits.shape[0])})
+    def _shard_write(self, request: Dict[str, Any],
+                     headers: Mapping[str, str]) -> Dict[str, Any]:
+        rows = int(request["bits"].shape[0])
+        with self._rpc_span("rpc.shard_write", headers, rows=rows):
+            energy = self.shard.write(request["bits"], request["start_row"],
+                                      request["global_ids"],
+                                      request["id_bound"])
+        return {"energy_pj": energy, "rows_written": rows}
 
-    def _shard_search(self, content_type: str, body: bytes,
-                      headers: Mapping[str, str]) -> Response:
-        if content_type == protocol.CONTENT_TYPE_FRAME:
-            packed, _header = protocol.decode_array_frame(
-                body, kind="shard_search", dtype="uint64", ndim=2)
-        else:
-            packed = protocol.decode_shard_search_request(
-                protocol.parse_request(protocol.loads(body), "shard_search"))
+    def _shard_search(self, request: Dict[str, Any],
+                      headers: Mapping[str, str]) -> Dict[str, Any]:
+        packed = request["packed"]
         with self._rpc_span("rpc.shard_search", headers,
                             queries=int(packed.shape[0])):
             counts, energy, latency = self.shard.search(packed)
-        if content_type == protocol.CONTENT_TYPE_FRAME:
-            frame = protocol.encode_array_frame(
-                "shard_counts", np.asarray(counts, dtype=np.int64),
-                extra={"energy_pj": float(energy),
-                       "latency_cycles": int(latency)})
-            return 200, protocol.CONTENT_TYPE_FRAME, frame
-        return self._ok_response(protocol.encode_shard_search_response(
-            counts, energy, latency))
+        return {"counts": counts, "energy_pj": energy,
+                "latency_cycles": latency}
 
-    def _shard_topk(self, content_type: str, body: bytes,
-                    headers: Mapping[str, str]) -> Response:
-        if content_type == protocol.CONTENT_TYPE_FRAME:
-            packed, header = protocol.decode_array_frame(
-                body, kind="shard_topk", dtype="uint64", ndim=2)
-            try:
-                k = int(header["k"])
-            except (KeyError, TypeError, ValueError):
-                raise protocol.WireError(
-                    "bad_request",
-                    "shard topk frame needs an integer 'k'") from None
-            if k < 0:
-                raise protocol.WireError("bad_request",
-                                         f"k must be non-negative, got {k}")
-        else:
-            packed, k = protocol.decode_shard_topk_request(
-                protocol.parse_request(protocol.loads(body), "shard_topk"))
+    def _shard_topk(self, request: Dict[str, Any],
+                    headers: Mapping[str, str]) -> Dict[str, Any]:
+        packed, k = request["packed"], request["k"]
         with self._rpc_span("rpc.shard_topk", headers,
-                            queries=int(packed.shape[0]), k=int(k)):
+                            queries=int(packed.shape[0]), k=k):
             indices, raw, energy, latency = self.shard.topk(packed, k)
-        if content_type == protocol.CONTENT_TYPE_FRAME:
-            # Two aligned (n, k_eff) matrices travel as one stacked
-            # (2, n, k_eff) array: ids first, raw counts second.
-            stacked = np.stack([indices, raw]).astype(np.int64)
-            frame = protocol.encode_array_frame(
-                "shard_candidates", stacked,
-                extra={"energy_pj": float(energy),
-                       "latency_cycles": int(latency)})
-            return 200, protocol.CONTENT_TYPE_FRAME, frame
-        return self._ok_response(protocol.encode_shard_topk_response(
-            indices, raw, energy, latency))
+        return {"indices": indices, "raw": raw, "energy_pj": energy,
+                "latency_cycles": latency}
 
     # -- reporting ---------------------------------------------------------------
 

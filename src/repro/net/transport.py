@@ -82,6 +82,18 @@ class TransportResponse:
         """The body parsed as JSON (raises ``WireError`` on damage)."""
         return protocol.loads(self.body)
 
+    def frame(self) -> bytes:
+        """The body of a frame route's answer.
+
+        Frame routes answer failures with a JSON error envelope; this
+        raises the typed ``WireError`` it reports.
+        """
+        if self.content_type != protocol.CONTENT_TYPE_FRAME:
+            protocol.parse_response(self.json())
+            raise protocol.WireError(
+                "bad_request", f"expected a frame, got {self.content_type!r}")
+        return self.body
+
     @property
     def content_type(self) -> str:
         """The declared media type, parameters stripped."""

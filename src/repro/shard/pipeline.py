@@ -746,9 +746,10 @@ class ShardedCamPipeline:
         _count_fanout(fanout if k is None else f"topk_{fanout}", num_queries)
         selection = router.begin_search()
         try:
+            # No plane: the fused kernel on its own default split.
             with _traced_stage("fanout", **labels, shards=plan.num_shards,
                                queries=num_queries,
-                               executor=getattr(plane, "name", "inline")):
+                               executor=getattr(plane, "name", "default")):
                 if fanout == "fused" or shared:
                     answers = None
                     started = time.perf_counter()

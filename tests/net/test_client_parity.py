@@ -122,15 +122,13 @@ class TestEmptyBatchOverTheWire:
     def test_empty_topk_route_has_engine_width(self):
         app = NetApp(engine=build_demo_engine(**GEOMETRY))
         try:
-            envelope = protocol.request_envelope(
-                "topk", protocol.encode_topk_request(
-                    np.empty((0, GEOMETRY["input_dim"])), 3))
+            frame = protocol.encode(
+                "topk.request", samples=np.empty((0, GEOMETRY["input_dim"])),
+                k=3)
             _, _, body = app.handle(
                 "POST", "/v1/topk",
-                {"Content-Type": protocol.CONTENT_TYPE_JSON},
-                protocol.dumps(envelope))
-            rows = protocol.decode_topk_response(
-                protocol.parse_response(protocol.loads(body)))
+                {"Content-Type": protocol.CONTENT_TYPE_FRAME}, frame)
+            rows = protocol.decode("topk.response", body)["rows"]
             assert rows.shape == (0, app.server.engine.topk_width(3))
         finally:
             app.close()

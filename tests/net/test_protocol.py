@@ -1,6 +1,8 @@
-"""Wire-protocol unit tests: codecs, envelopes, framing, typed errors."""
+"""Wire-protocol unit tests: the frame codec, envelopes, typed errors."""
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 import pytest
@@ -9,78 +11,231 @@ from repro.net import protocol
 from repro.net.protocol import WireError
 
 
-class TestArrayCodec:
-    @pytest.mark.parametrize("encoding", ["b64", "hex"])
-    @pytest.mark.parametrize("dtype", ["float64", "int64", "uint64", "uint8"])
-    def test_round_trip_exact(self, rng, encoding, dtype):
-        if dtype == "float64":
-            array = rng.standard_normal((3, 5))
+def assemble(header, payload, payload_len=None):
+    """A frame from a raw header and payload (lengths may lie)."""
+    head = protocol.dumps(header)
+    return b"".join((
+        protocol.FRAME_MAGIC, struct.pack("<I", len(head)), head,
+        struct.pack("<I", len(payload) if payload_len is None
+                    else payload_len),
+        payload))
+
+
+def split(frame):
+    """A valid frame's ``(header, payload)``."""
+    (header_len,) = struct.unpack_from("<I", frame, 4)
+    header = protocol.loads(frame[8: 8 + header_len])
+    return header, frame[12 + header_len:]
+
+
+def rewritten(frame, **changes):
+    """``frame`` with header fields replaced (``None`` deletes one)."""
+    header, payload = split(frame)
+    for name, value in changes.items():
+        if value is None:
+            header.pop(name, None)
         else:
-            array = rng.integers(0, 200, size=(3, 5)).astype(dtype)
-        decoded = protocol.decode_array(protocol.encode_array(array, encoding))
-        assert decoded.dtype == array.dtype
-        assert np.array_equal(decoded, array)
+            header[name] = value
+    return assemble(header, payload)
+
+
+def search_frame(rows=2, words=4):
+    return protocol.encode("shard_search.request", packed=np.arange(
+        rows * words, dtype=np.uint64).reshape(rows, words))
+
+
+def rejected(kind, frame, code="bad_request"):
+    with pytest.raises(WireError) as excinfo:
+        protocol.decode(kind, frame)
+    assert excinfo.value.code == code
+    return excinfo.value
+
+
+class TestFrameCodec:
+    @pytest.mark.parametrize("dtype", ["float64", "int64", "uint64", "uint8"])
+    def test_round_trip_exact(self, rng, dtype):
+        array = (rng.standard_normal((3, 5)) if dtype == "float64" else
+                 rng.integers(0, 200, size=(3, 5)).astype(dtype))
+        kind = {"float64": "classify.request", "int64": "shard_search.response",
+                "uint64": "shard_search.request",
+                "uint8": "shard_write.request"}[dtype]
+        spec = protocol.FRAME_KINDS[kind]
+        fields = {name: array for name in spec.arrays}
+        if kind == "shard_write.request":
+            fields["global_ids"] = np.arange(3, dtype=np.int64)
+        fields.update({name: 1 for name in spec.scalars})
+        decoded = protocol.decode(kind, protocol.encode(kind, **fields))
+        (name,) = [name for name in spec.arrays
+                   if spec.arrays[name][0] == dtype]
+        assert decoded[name].dtype == array.dtype
+        assert np.array_equal(decoded[name], array)
 
     def test_float_bits_survive(self):
         # Exact bytes, not digits: values that would lose bits through a
         # decimal text round-trip come back identical.
-        array = np.array([[np.pi, np.nextafter(1.0, 2.0), -0.0, 1e-308]])
-        decoded = protocol.decode_array(protocol.encode_array(array))
-        assert array.tobytes() == decoded.tobytes()
+        logits = np.array([[np.pi, np.nextafter(1.0, 2.0), -0.0, 1e-308]])
+        decoded = protocol.decode_classify_response(
+            protocol.encode("classify.response", logits=logits))
+        assert logits.tobytes() == decoded.tobytes()
 
     def test_zero_sized(self):
-        array = np.zeros((0, 7), dtype=np.int64)
-        decoded = protocol.decode_array(protocol.encode_array(array))
-        assert decoded.shape == (0, 7)
+        frame = protocol.encode("shard_search.response",
+                                counts=np.zeros((0, 7), dtype=np.int64),
+                                energy_pj=0.0, latency_cycles=0)
+        decoded = protocol.decode("shard_search.response", frame)
+        assert decoded["counts"].shape == (0, 7)
 
-    def test_unknown_encoding_rejected(self):
+    def test_scalars_and_arrays_ride_together(self, rng):
+        packed = rng.integers(0, 2**63, size=(4, 4)).astype(np.uint64)
+        decoded = protocol.decode("shard_topk.request", protocol.encode(
+            "shard_topk.request", packed=packed, k=7))
+        assert decoded["k"] == 7
+        assert np.array_equal(decoded["packed"], packed)
+
+    def test_encode_rejects_misuse(self):
         with pytest.raises(ValueError):
-            protocol.encode_array(np.zeros(2), "utf8")
+            protocol.encode("topk.request", samples=np.zeros((1, 4)), k=-1)
+        with pytest.raises(ValueError):
+            protocol.encode("classify.request", samples=np.zeros(4))
+        with pytest.raises(TypeError):
+            protocol.encode("topk.request", samples=np.zeros((1, 4)))
+        with pytest.raises(TypeError):
+            protocol.encode("classify.request", samples=np.zeros((1, 4)),
+                            k=1)
 
-    @pytest.mark.parametrize("mutation", [
-        {"dtype": "float32"},               # dtype mismatch vs declared bytes
-        {"data": "not base64!!"},           # undecodable payload
-        {"shape": [5, 5]},                  # byte count disagrees with shape
-        {"encoding": "zip"},                # unknown encoding
-        {"shape": [-1, 4]},                 # negative dimension
+
+class TestMalformedFrames:
+    def test_bad_magic(self):
+        frame = search_frame()
+        rejected("shard_search.request", b"XXXX" + frame[4:])
+
+    def test_truncated_frame(self):
+        frame = search_frame()
+        for cut in (2, 6, len(frame) // 2, len(frame) - 1):
+            rejected("shard_search.request", frame[:cut])
+
+    def test_trailing_bytes_rejected(self):
+        rejected("shard_search.request", search_frame() + b"tail")
+
+    def test_wrong_kind(self):
+        rejected("shard_topk.request", search_frame())
+        rejected("shard_search.request",
+                 rewritten(search_frame(), kind="classify.request"))
+
+    def test_undecodable_header(self):
+        frame = search_frame()
+        header, payload = split(frame)
+        head = b"{not json"
+        damaged = b"".join((protocol.FRAME_MAGIC, struct.pack("<I", len(head)),
+                            head, struct.pack("<I", len(payload)), payload))
+        rejected("shard_search.request", damaged)
+        rejected("shard_search.request", assemble([1, 2], payload))
+
+    @pytest.mark.parametrize("array", [
+        {"dtype": "int64", "shape": [2, 4]},        # wrong dtype
+        {"dtype": "float32", "shape": [4, 4]},      # wrong dtype, same bytes
+        {"dtype": "uint64", "shape": [8]},          # wrong ndim
+        {"dtype": "uint64", "shape": [2, 2, 2]},    # wrong ndim
+        {"dtype": "uint64", "shape": [-2, -4]},     # negative dimensions
+        {"dtype": "no-such-dtype", "shape": [2, 4]},
+        {"dtype": "uint64"},                        # no shape
+    ], ids=["int64", "float32", "1-D", "3-D", "negative", "unknown-dtype",
+            "no-shape"])
+    def test_wrong_array_description(self, array):
+        rejected("shard_search.request",
+                 rewritten(search_frame(), arrays={"packed": array}))
+
+    def test_missing_or_extra_array(self):
+        rejected("shard_search.request", rewritten(search_frame(), arrays={}))
+        rejected("shard_search.request", rewritten(search_frame(), arrays=None))
+        header, _ = split(search_frame())
+        rejected("shard_search.request", rewritten(search_frame(), arrays={
+            **header["arrays"], "extra": {"dtype": "uint64", "shape": [0]}}))
+
+    def test_payload_length_mismatch(self):
+        header, payload = split(search_frame())
+        # The length prefix disagrees with the bytes that follow it.
+        rejected("shard_search.request",
+                 assemble(header, payload, payload_len=len(payload) + 8))
+        rejected("shard_search.request",
+                 assemble(header, payload, payload_len=len(payload) - 8))
+        # Consistent prefix, but the shapes need more or fewer bytes.
+        rejected("shard_search.request", assemble(header, payload[:-8]))
+        rejected("shard_search.request", assemble(header, payload + b"\0" * 8))
+
+    @pytest.mark.parametrize("kind, name, bad", [
+        ("topk.request", "k", None),                # missing
+        ("topk.request", "k", -1),                  # negative
+        ("topk.request", "k", "three"),             # not a number
+        ("topk.request", "k", 2.5),                 # not an integer
+        ("topk.request", "k", True),                # a bool is no count
+        ("shard_topk.request", "k", -3),
+        ("shard_write.request", "start_row", -1),
+        ("shard_write.request", "id_bound", 0),     # must be positive
+        ("shard_write.request", "id_bound", None),
+        ("shard_search.response", "energy_pj", None),
+        ("shard_search.response", "energy_pj", "1.5"),
+        ("shard_search.response", "latency_cycles", -1),
     ])
-    def test_damaged_object_raises_bad_request(self, mutation):
-        obj = protocol.encode_array(np.arange(8, dtype=np.int64).reshape(2, 4))
-        obj.update(mutation)
-        with pytest.raises(WireError) as excinfo:
-            protocol.decode_array(obj)
-        assert excinfo.value.code == "bad_request"
+    def test_missing_or_out_of_bound_scalar(self, kind, name, bad):
+        error = rejected(kind, rewritten(valid_frame(kind), **{name: bad}))
+        assert name in error.message
 
-    def test_expected_dtype_and_ndim_enforced(self):
-        obj = protocol.encode_array(np.zeros((2, 2), dtype=np.int64))
-        with pytest.raises(WireError):
-            protocol.decode_array(obj, dtype="uint64")
-        with pytest.raises(WireError):
-            protocol.decode_array(obj, ndim=1)
+    def test_write_needs_one_global_id_per_row(self):
+        bits = np.zeros((4, 8), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            protocol.encode("shard_write.request", bits=bits, start_row=0,
+                            global_ids=np.arange(3), id_bound=32)
+        frame = protocol.encode("shard_write.request", bits=bits, start_row=0,
+                                global_ids=np.arange(4), id_bound=32)
+        header, payload = split(frame)
+        header["arrays"]["global_ids"]["shape"] = [3]
+        error = rejected("shard_write.request",
+                         assemble(header, payload[:-8]))
+        assert "global_ids" in error.message
+
+    def test_candidate_shapes_must_agree(self):
+        with pytest.raises(ValueError):
+            protocol.encode("shard_topk.response",
+                            indices=np.zeros((2, 3)), raw=np.zeros((2, 4)),
+                            energy_pj=0.0, latency_cycles=0)
+        frame = protocol.encode("shard_topk.response",
+                                indices=np.zeros((2, 4)), raw=np.zeros((2, 4)),
+                                energy_pj=0.0, latency_cycles=0)
+        header, payload = split(frame)
+        header["arrays"]["indices"]["shape"] = [2, 3]
+        error = rejected("shard_topk.response",
+                         assemble(header, payload[16:]))
+        assert "disagree" in error.message
+
+    def test_older_version_is_unsupported(self):
+        rejected("shard_search.request", rewritten(search_frame(), v=1),
+                 code="unsupported_version")
+        rejected("shard_search.request", rewritten(search_frame(), v=None),
+                 code="unsupported_version")
+
+
+def valid_frame(kind):
+    """A well-formed frame of ``kind`` with every scalar at 1."""
+    spec = protocol.FRAME_KINDS[kind]
+    fields = {name: np.zeros((2,) * ndim, dtype=dtype)
+              for name, (dtype, ndim) in spec.arrays.items()}
+    fields.update({name: 1 for name in spec.scalars})
+    return protocol.encode(kind, **fields)
 
 
 class TestEnvelopes:
-    def test_request_round_trip(self):
-        payload = {"alpha": 1, "beta": [1, 2]}
-        document = protocol.request_envelope("classify", payload)
-        assert protocol.parse_request(document, "classify") == payload
-
-    def test_version_mismatch(self):
-        document = protocol.request_envelope("classify", {})
-        document["v"] = 99
-        with pytest.raises(WireError) as excinfo:
-            protocol.parse_request(document)
-        assert excinfo.value.code == "unsupported_version"
-        assert excinfo.value.status == 400
-
-    def test_kind_mismatch(self):
-        document = protocol.request_envelope("classify", {})
-        with pytest.raises(WireError):
-            protocol.parse_request(document, "topk")
-
     def test_ok_response_round_trip(self):
         result = {"answer": 42}
         assert protocol.parse_response(protocol.ok_envelope(result)) == result
+
+    def test_version_mismatch(self):
+        document = protocol.ok_envelope({})
+        document["v"] = 99
+        with pytest.raises(WireError) as excinfo:
+            protocol.parse_response(document)
+        assert excinfo.value.code == "unsupported_version"
+        assert excinfo.value.status == 400
 
     def test_error_response_raises_typed(self):
         document = protocol.error_envelope("unavailable", "busy")
@@ -100,121 +255,3 @@ class TestEnvelopes:
     def test_loads_rejects_damage(self):
         with pytest.raises(WireError):
             protocol.loads(b"{not json")
-
-
-class TestBinaryFraming:
-    def test_array_frame_round_trip(self, rng):
-        packed = rng.integers(0, 2**63, size=(4, 4)).astype(np.uint64)
-        frame = protocol.encode_array_frame("shard_search", packed,
-                                            extra={"k": 7})
-        decoded, header = protocol.decode_array_frame(
-            frame, kind="shard_search", dtype="uint64", ndim=2)
-        assert np.array_equal(decoded, packed)
-        assert header["k"] == 7
-
-    def test_bad_magic(self):
-        frame = protocol.encode_array_frame("x", np.zeros(1))
-        with pytest.raises(WireError):
-            protocol.decode_frame(b"XXXX" + frame[4:])
-
-    def test_truncated_frame(self):
-        frame = protocol.encode_array_frame("x", np.arange(8.0))
-        for cut in (2, len(frame) // 2, len(frame) - 1):
-            with pytest.raises(WireError):
-                protocol.decode_frame(frame[:cut])
-
-    def test_trailing_garbage_rejected(self):
-        frame = protocol.encode_array_frame("x", np.arange(8.0))
-        with pytest.raises(WireError):
-            protocol.decode_frame(frame + b"tail")
-
-    def test_kind_and_dtype_enforced(self):
-        frame = protocol.encode_array_frame("a", np.zeros((1, 1)))
-        with pytest.raises(WireError):
-            protocol.decode_array_frame(frame, kind="b")
-        with pytest.raises(WireError):
-            protocol.decode_array_frame(frame, dtype="int64")
-
-
-class TestTypedPayloads:
-    def test_classify_round_trip(self, rng):
-        samples = rng.standard_normal((6, 16))
-        payload = protocol.encode_classify_request(samples)
-        assert np.array_equal(protocol.decode_classify_request(payload),
-                              samples)
-        logits = rng.standard_normal((6, 4))
-        result = protocol.encode_classify_response(logits)
-        assert np.array_equal(protocol.decode_classify_response(result),
-                              logits)
-
-    def test_topk_round_trip(self, rng):
-        samples = rng.standard_normal((3, 8))
-        payload = protocol.encode_topk_request(samples, 5)
-        decoded, k = protocol.decode_topk_request(payload)
-        assert np.array_equal(decoded, samples) and k == 5
-        rows = rng.standard_normal((3, 10))
-        result = protocol.encode_topk_response(rows)
-        assert np.array_equal(protocol.decode_topk_response(result), rows)
-
-    def test_topk_k_validation(self, rng):
-        samples = rng.standard_normal((1, 4))
-        with pytest.raises(ValueError):
-            protocol.encode_topk_request(samples, -1)
-        payload = protocol.encode_topk_request(samples, 2)
-        payload["k"] = "three"
-        with pytest.raises(WireError):
-            protocol.decode_topk_request(payload)
-
-    def test_shard_search_round_trip(self, rng):
-        packed = rng.integers(0, 2**63, size=(2, 4)).astype(np.uint64)
-        payload = protocol.encode_shard_search_request(packed)
-        assert np.array_equal(protocol.decode_shard_search_request(payload),
-                              packed)
-        counts = rng.integers(0, 256, size=(2, 8)).astype(np.int64)
-        result = protocol.encode_shard_search_response(counts, 1.5, 7)
-        back, energy, latency = protocol.decode_shard_search_response(result)
-        assert np.array_equal(back, counts)
-        assert energy == 1.5 and latency == 7
-
-    def test_shard_topk_round_trip(self, rng):
-        packed = rng.integers(0, 2**63, size=(2, 4)).astype(np.uint64)
-        payload = protocol.encode_shard_topk_request(packed, 3)
-        back, k = protocol.decode_shard_topk_request(payload)
-        assert np.array_equal(back, packed) and k == 3
-        indices = rng.integers(0, 16, size=(2, 3)).astype(np.int64)
-        raw = rng.integers(0, 256, size=(2, 3)).astype(np.int64)
-        result = protocol.encode_shard_topk_response(indices, raw, 2.0, 9)
-        b_idx, b_raw, energy, latency = (
-            protocol.decode_shard_topk_response(result))
-        assert np.array_equal(b_idx, indices)
-        assert np.array_equal(b_raw, raw)
-        assert energy == 2.0 and latency == 9
-
-    def test_shard_topk_shape_mismatch(self, rng):
-        result = protocol.encode_shard_topk_response(
-            np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64),
-            0.0, 0)
-        result["raw"] = protocol.encode_array(np.zeros((2, 4), dtype=np.int64))
-        with pytest.raises(WireError):
-            protocol.decode_shard_topk_response(result)
-
-    def test_shard_write_round_trip(self, rng):
-        bits = rng.integers(0, 2, size=(4, 8)).astype(np.uint8)
-        ids = np.arange(10, 14, dtype=np.int64)
-        payload = protocol.encode_shard_write_request(bits, 2, ids, 32)
-        b_bits, start, b_ids, bound = (
-            protocol.decode_shard_write_request(payload))
-        assert np.array_equal(b_bits, bits)
-        assert start == 2 and bound == 32
-        assert np.array_equal(b_ids, ids)
-
-    def test_shard_write_placement_validation(self, rng):
-        bits = rng.integers(0, 2, size=(4, 8)).astype(np.uint8)
-        with pytest.raises(ValueError):
-            protocol.encode_shard_write_request(
-                bits, 0, np.arange(3, dtype=np.int64), 32)
-        payload = protocol.encode_shard_write_request(
-            bits, 0, np.arange(4, dtype=np.int64), 32)
-        payload["id_bound"] = 0
-        with pytest.raises(WireError):
-            protocol.decode_shard_write_request(payload)

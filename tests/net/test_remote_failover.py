@@ -81,12 +81,11 @@ class TestRemoteShardTransport:
         with NetServer(shard_rows=ROWS, word_bits=BITS) as server:
             yield server
 
-    @pytest.mark.parametrize("use_frames", [True, False])
     def test_port_surface_matches_local_array(self, server, row_bits,
-                                              queries, use_frames):
+                                              queries):
         port = RemoteShardTransport(
             server.base_url, global_rows=np.arange(ROWS, dtype=np.int64),
-            id_bound=ROWS, word_bits=BITS, use_frames=use_frames)
+            id_bound=ROWS, word_bits=BITS)
         try:
             assert port.rows == ROWS
             energy = port.write_rows(row_bits)
@@ -107,26 +106,6 @@ class TestRemoteShardTransport:
             assert port.stats()["retry"]["requests"] >= 4
         finally:
             port.close()
-
-    def test_frames_and_json_agree(self, server, row_bits, queries):
-        kwargs = dict(global_rows=np.arange(ROWS, dtype=np.int64),
-                      id_bound=ROWS, word_bits=BITS)
-        framed = RemoteShardTransport(server.base_url, use_frames=True,
-                                      **kwargs)
-        plain = RemoteShardTransport(server.base_url, use_frames=False,
-                                     **kwargs)
-        try:
-            framed.write_rows(row_bits)
-            packed = pack_bits(queries)
-            assert np.array_equal(framed.mismatch_counts_packed(packed)[0],
-                                  plain.mismatch_counts_packed(packed)[0])
-            f_idx, f_raw, _, _ = framed.topk_candidates(packed, 4)
-            p_idx, p_raw, _, _ = plain.topk_candidates(packed, 4)
-            assert np.array_equal(f_idx, p_idx)
-            assert np.array_equal(f_raw, p_raw)
-        finally:
-            framed.close()
-            plain.close()
 
 
 class TestRemoteClusterBitIdentity:

@@ -8,7 +8,9 @@ returns -- the network layer adds transport, never arithmetic.
 from __future__ import annotations
 
 import asyncio
+import base64
 import socket
+import struct
 
 import numpy as np
 import pytest
@@ -27,9 +29,53 @@ JSON = protocol.CONTENT_TYPE_JSON
 FRAME = protocol.CONTENT_TYPE_FRAME
 
 
-def post(app, path, envelope, content_type=JSON, headers=None):
+def post(app, path, frame, content_type=FRAME, headers=None):
     merged = {"Content-Type": content_type, **(headers or {})}
-    return app.handle("POST", path, merged, protocol.dumps(envelope))
+    return app.handle("POST", path, merged, frame)
+
+
+def answer(response, kind):
+    """The fields of a frame route's successful answer."""
+    status, content_type, body = response
+    assert status == 200 and content_type == FRAME
+    return protocol.decode(f"{kind}.response", body)
+
+
+def with_header(frame, **changes):
+    """``frame`` re-assembled with header fields replaced or dropped."""
+    (head_len,) = struct.unpack_from("<I", frame, 4)
+    header = protocol.loads(frame[8: 8 + head_len])
+    for name, value in changes.items():
+        if value is None:
+            header.pop(name)
+        else:
+            header[name] = value
+    head = protocol.dumps(header)
+    return b"".join((frame[:4], struct.pack("<I", len(head)), head,
+                     frame[8 + head_len:]))
+
+
+def v1_search_frame(packed):
+    """A shard search frame exactly as a protocol-1 peer sent it."""
+    head = protocol.dumps({"v": 1, "kind": "shard_search", "dtype": "uint64",
+                           "shape": list(packed.shape)})
+    return b"".join((b"RPN1", struct.pack("<I", len(head)), head,
+                     struct.pack("<I", packed.nbytes), packed.tobytes()))
+
+
+def v1_json_body(kind, **arrays):
+    """A protocol-1 JSON request envelope with base64 array fields."""
+    payload = {name: {"dtype": array.dtype.name, "shape": list(array.shape),
+                      "encoding": "b64",
+                      "data": base64.b64encode(array.tobytes()).decode()}
+               for name, array in arrays.items()}
+    return protocol.dumps({"v": 1, "kind": kind, "payload": payload})
+
+
+def write_frame(bits, start_row, global_ids, id_bound):
+    return protocol.encode("shard_write.request", bits=bits,
+                           start_row=start_row, global_ids=global_ids,
+                           id_bound=id_bound)
 
 
 def unwrap(response):
@@ -82,28 +128,24 @@ class TestServePlaneRoutes:
 
     def test_classify_matches_inprocess(self, app):
         queries = demo_queries(app.server.engine, 4)
-        envelope = protocol.request_envelope(
-            "classify", protocol.encode_classify_request(queries))
-        remote = protocol.decode_classify_response(
-            unwrap(post(app, "/v1/classify", envelope)))
+        remote = answer(post(app, "/v1/classify",
+                             protocol.encode_classify_request(queries)),
+                        "classify")["logits"]
         with ServeClient(build_demo_engine(**GEOMETRY)) as reference:
             expected = reference.infer_many(queries)
         assert np.array_equal(remote, expected)
 
     def test_classify_empty_batch(self, app):
-        envelope = protocol.request_envelope(
-            "classify", protocol.encode_classify_request(
-                np.empty((0, GEOMETRY["input_dim"]))))
-        logits = protocol.decode_classify_response(
-            unwrap(post(app, "/v1/classify", envelope)))
+        frame = protocol.encode_classify_request(
+            np.empty((0, GEOMETRY["input_dim"])))
+        logits = answer(post(app, "/v1/classify", frame),
+                        "classify")["logits"]
         assert logits.shape == (0, GEOMETRY["classes"])
 
     def test_topk_matches_inprocess(self, app):
         queries = demo_queries(app.server.engine, 3)
-        envelope = protocol.request_envelope(
-            "topk", protocol.encode_topk_request(queries, 4))
-        rows = protocol.decode_topk_response(
-            unwrap(post(app, "/v1/topk", envelope)))
+        frame = protocol.encode("topk.request", samples=queries, k=4)
+        rows = answer(post(app, "/v1/topk", frame), "topk")["rows"]
         with ServeClient(build_demo_engine(**GEOMETRY)) as reference:
             indices, distances = reference.topk_many(queries, 4)
         assert np.array_equal(rows[:, :4].astype(np.int64), indices)
@@ -122,23 +164,34 @@ class TestServePlaneRoutes:
                               {"Content-Type": "text/plain"}, b"hi")
         assert unwrap(response).code == "unsupported_media"
 
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/classify", v1_json_body("classify", samples=np.zeros((1, 32)))),
+        ("/v1/topk", v1_json_body("topk", samples=np.zeros((1, 32)))),
+    ], ids=["classify", "topk"])
+    def test_json_body_is_unsupported_media(self, app, path, body):
+        response = app.handle("POST", path, {"Content-Type": JSON}, body)
+        error = unwrap(response)
+        assert error.code == "unsupported_media" and error.status == 415
+
     def test_malformed_body_is_bad_request(self, app):
-        response = app.handle("POST", "/v1/classify",
-                              {"Content-Type": JSON}, b"{broken")
+        response = post(app, "/v1/classify", b"{broken")
         assert unwrap(response).code == "bad_request"
 
+    def test_frame_of_another_kind_is_bad_request(self, app):
+        frame = protocol.encode("topk.request", samples=np.zeros((1, 32)), k=1)
+        assert unwrap(post(app, "/v1/classify", frame)).code == "bad_request"
+
     def test_version_mismatch_is_unsupported_version(self, app):
-        envelope = protocol.request_envelope("classify", {})
-        envelope["v"] = 99
-        assert unwrap(post(app, "/v1/classify", envelope)).code == (
+        frame = with_header(protocol.encode_classify_request(
+            np.zeros((1, GEOMETRY["input_dim"]))), v=99)
+        assert unwrap(post(app, "/v1/classify", frame)).code == (
             "unsupported_version")
 
     def test_stopped_server_is_shutting_down(self, app):
         queries = demo_queries(app.server.engine, 1)
         app.server.stop(drain=True)
-        envelope = protocol.request_envelope(
-            "classify", protocol.encode_classify_request(queries))
-        error = unwrap(post(app, "/v1/classify", envelope))
+        error = unwrap(post(app, "/v1/classify",
+                            protocol.encode_classify_request(queries)))
         assert error.code == "shutting_down" and error.status == 503
 
     def test_shard_routes_absent_on_serve_plane(self, app):
@@ -154,10 +207,10 @@ class TestShardPlaneRoutes:
     @pytest.fixture
     def loaded(self, app, rng):
         bits = rng.integers(0, 2, size=(8, 128)).astype(np.uint8)
-        envelope = protocol.request_envelope(
-            "shard_write", protocol.encode_shard_write_request(
-                bits, 0, np.arange(8, dtype=np.int64), 8))
-        unwrap(post(app, "/v1/shard/write", envelope))
+        written = answer(post(app, "/v1/shard/write",
+                              write_frame(bits, 0, np.arange(8), 8)),
+                         "shard_write")
+        assert written["rows_written"] == 8 and written["energy_pj"] > 0
         return app, bits
 
     def packed_queries(self, app, rng, n=3):
@@ -169,80 +222,75 @@ class TestShardPlaneRoutes:
         info = unwrap(app.handle("GET", "/v1/shard/info"))
         assert info["rows"] == 8 and info["word_bits"] == 128
 
-    def test_write_then_search_json(self, loaded, rng):
+    def test_write_then_search(self, loaded, rng):
         app, bits = loaded
         packed, query_bits = self.packed_queries(app, rng)
-        envelope = protocol.request_envelope(
-            "shard_search", protocol.encode_shard_search_request(packed))
-        counts, energy, latency = protocol.decode_shard_search_response(
-            unwrap(post(app, "/v1/shard/search", envelope)))
+        result = answer(post(app, "/v1/shard/search", protocol.encode(
+            "shard_search.request", packed=packed)), "shard_search")
         expected = (query_bits[:, None, :] != bits[None, :, :]).sum(axis=2)
-        assert np.array_equal(counts, expected)
-        assert energy > 0 and latency > 0
+        assert np.array_equal(result["counts"], expected)
+        assert result["energy_pj"] > 0 and result["latency_cycles"] > 0
 
-    def test_search_frame_round_trip(self, loaded, rng):
+    def test_topk_candidates_match_search(self, loaded, rng):
         app, bits = loaded
         packed, query_bits = self.packed_queries(app, rng)
-        frame = protocol.encode_array_frame("shard_search", packed)
-        status, content_type, body = app.handle(
-            "POST", "/v1/shard/search", {"Content-Type": FRAME}, frame)
-        assert status == 200 and content_type == FRAME
-        counts, header = protocol.decode_array_frame(
-            body, kind="shard_counts", dtype="int64", ndim=2)
+        result = answer(post(app, "/v1/shard/topk", protocol.encode(
+            "shard_topk.request", packed=packed, k=3)), "shard_topk")
         expected = (query_bits[:, None, :] != bits[None, :, :]).sum(axis=2)
-        assert np.array_equal(counts, expected)
-        assert header["energy_pj"] > 0
-
-    def test_topk_json_and_frame_agree(self, loaded, rng):
-        app, _ = loaded
-        packed, _ = self.packed_queries(app, rng)
-        envelope = protocol.request_envelope(
-            "shard_topk", protocol.encode_shard_topk_request(packed, 3))
-        indices, raw, _, _ = protocol.decode_shard_topk_response(
-            unwrap(post(app, "/v1/shard/topk", envelope)))
-        frame = protocol.encode_array_frame("shard_topk", packed,
-                                            extra={"k": 3})
-        status, content_type, body = app.handle(
-            "POST", "/v1/shard/topk", {"Content-Type": FRAME}, frame)
-        assert status == 200 and content_type == FRAME
-        stacked, _ = protocol.decode_array_frame(
-            body, kind="shard_candidates", dtype="int64", ndim=3)
-        assert np.array_equal(stacked[0], indices)
-        assert np.array_equal(stacked[1], raw)
+        order = np.argsort(expected, axis=1, kind="stable")[:, :3]
+        assert np.array_equal(result["indices"], order)
+        assert np.array_equal(result["raw"],
+                              np.take_along_axis(expected, order, axis=1))
 
     def test_topk_returns_global_ids(self, app, rng):
         # Placement offset 100..107: the candidates must come back in
         # global ids, not local row numbers.
         bits = rng.integers(0, 2, size=(8, 128)).astype(np.uint8)
-        envelope = protocol.request_envelope(
-            "shard_write", protocol.encode_shard_write_request(
-                bits, 0, np.arange(100, 108, dtype=np.int64), 200))
-        unwrap(post(app, "/v1/shard/write", envelope))
+        answer(post(app, "/v1/shard/write",
+                    write_frame(bits, 0, np.arange(100, 108), 200)),
+               "shard_write")
         packed, _ = self.packed_queries(app, rng, n=1)
-        request = protocol.request_envelope(
-            "shard_topk", protocol.encode_shard_topk_request(packed, 8))
-        indices, _, _, _ = protocol.decode_shard_topk_response(
-            unwrap(post(app, "/v1/shard/topk", request)))
+        indices = answer(post(app, "/v1/shard/topk", protocol.encode(
+            "shard_topk.request", packed=packed, k=8)),
+            "shard_topk")["indices"]
         assert set(indices.ravel()) <= set(range(100, 108))
 
     def test_topk_frame_requires_k(self, loaded, rng):
         app, _ = loaded
         packed, _ = self.packed_queries(app, rng)
-        frame = protocol.encode_array_frame("shard_topk", packed)
-        response = app.handle("POST", "/v1/shard/topk",
-                              {"Content-Type": FRAME}, frame)
+        frame = with_header(protocol.encode(
+            "shard_topk.request", packed=packed, k=3), k=None)
+        response = post(app, "/v1/shard/topk", frame)
         assert unwrap(response).code == "bad_request"
+
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/shard/write", v1_json_body(
+            "shard_write", bits=np.zeros((1, 128), dtype=np.uint8),
+            global_ids=np.zeros(1, dtype=np.int64))),
+        ("/v1/shard/search", v1_json_body(
+            "shard_search", packed=np.zeros((1, 2), dtype=np.uint64))),
+        ("/v1/shard/topk", v1_json_body(
+            "shard_topk", packed=np.zeros((1, 2), dtype=np.uint64))),
+    ], ids=["write", "search", "topk"])
+    def test_json_body_is_unsupported_media(self, app, path, body):
+        response = app.handle("POST", path, {"Content-Type": JSON}, body)
+        error = unwrap(response)
+        assert error.code == "unsupported_media" and error.status == 415
+
+    def test_v1_frame_is_unsupported_version(self, loaded, rng):
+        app, _ = loaded
+        packed, _ = self.packed_queries(app, rng)
+        response = post(app, "/v1/shard/search", v1_search_frame(packed))
+        assert unwrap(response).code == "unsupported_version"
 
     def test_write_replay_is_idempotent(self, app, rng):
         bits = rng.integers(0, 2, size=(4, 128)).astype(np.uint8)
-        envelope = protocol.request_envelope(
-            "shard_write", protocol.encode_shard_write_request(
-                bits, 0, np.arange(4, dtype=np.int64), 8))
+        frame = write_frame(bits, 0, np.arange(4), 8)
         headers = {IDEMPOTENCY_HEADER: "write-1"}
-        first = unwrap(post(app, "/v1/shard/write", envelope,
-                            headers=headers))
-        again = unwrap(post(app, "/v1/shard/write", envelope,
-                            headers=headers))
+        first = answer(post(app, "/v1/shard/write", frame, headers=headers),
+                       "shard_write")
+        again = answer(post(app, "/v1/shard/write", frame, headers=headers),
+                       "shard_write")
         assert again == first
         # Replay answered from the cache: one write, not two.
         assert app.shard.info()["writes"] == 1
@@ -251,26 +299,23 @@ class TestShardPlaneRoutes:
     def test_distinct_keys_both_execute(self, app, rng):
         bits = rng.integers(0, 2, size=(4, 128)).astype(np.uint8)
         for row, key in ((0, "a"), (4, "b")):
-            envelope = protocol.request_envelope(
-                "shard_write", protocol.encode_shard_write_request(
-                    bits, row, np.arange(row, row + 4, dtype=np.int64), 8))
-            unwrap(post(app, "/v1/shard/write", envelope,
-                        headers={IDEMPOTENCY_HEADER: key}))
+            frame = write_frame(bits, row, np.arange(row, row + 4), 8)
+            answer(post(app, "/v1/shard/write", frame,
+                        headers={IDEMPOTENCY_HEADER: key}), "shard_write")
         assert app.shard.info()["writes"] == 2
 
     def test_idempotency_cache_is_bounded(self, app, rng):
         bits = rng.integers(0, 2, size=(1, 128)).astype(np.uint8)
         for index in range(IDEMPOTENCY_CACHE_SIZE + 16):
-            envelope = protocol.request_envelope(
-                "shard_write", protocol.encode_shard_write_request(
-                    bits, 0, np.zeros(1, dtype=np.int64), 8))
-            unwrap(post(app, "/v1/shard/write", envelope,
-                        headers={IDEMPOTENCY_HEADER: f"key-{index}"}))
+            answer(post(app, "/v1/shard/write",
+                        write_frame(bits, 0, np.zeros(1), 8),
+                        headers={IDEMPOTENCY_HEADER: f"key-{index}"}),
+                   "shard_write")
         assert len(app._idempotent) == IDEMPOTENCY_CACHE_SIZE
 
     def test_serve_routes_absent_on_shard_plane(self, app):
-        envelope = protocol.request_envelope("classify", {})
-        assert unwrap(post(app, "/v1/classify", envelope)).code == "not_found"
+        frame = protocol.encode_classify_request(np.zeros((1, 128)))
+        assert unwrap(post(app, "/v1/classify", frame)).code == "not_found"
 
 
 class TestNetServerLifecycle:
@@ -393,6 +438,15 @@ class TestNetClientLoopback:
             with pytest.raises(protocol.WireError) as excinfo:
                 client._call("GET", "/v1/nonsense")
             assert excinfo.value.code == "not_found"
+
+    def test_frame_route_errors_surface_as_wire_errors(self, serve_server):
+        # A frame route answers its failure with a JSON error envelope.
+        wrong_width = np.zeros((2, GEOMETRY["input_dim"] + 1))
+        with NetClient(serve_server.base_url) as client:
+            with pytest.raises(protocol.WireError) as excinfo:
+                client.infer_many(wrong_width)
+            assert excinfo.value.code == "bad_request"
+            assert excinfo.value.status == 400
 
 
 class TestAsyncNetClientLoopback:

@@ -30,11 +30,9 @@ def unwrap(response):
 
 def classify(app, n=4):
     queries = demo_queries(app.server.engine, n)
-    envelope = protocol.request_envelope(
-        "classify", protocol.encode_classify_request(queries))
     status, _, _ = app.handle("POST", "/v1/classify",
-                              {"Content-Type": JSON},
-                              protocol.dumps(envelope))
+                              {"Content-Type": protocol.CONTENT_TYPE_FRAME},
+                              protocol.encode_classify_request(queries))
     assert status == 200
 
 

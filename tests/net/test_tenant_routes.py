@@ -77,10 +77,9 @@ def rate_limited_response(retry_after_s=None, header=None):
     )
 
 
-def classify_envelope(engine, count=1, seed=0):
+def classify_frame(engine, count=1, seed=0):
     queries = demo_queries(engine, count, seed=seed)
-    return protocol.request_envelope(
-        "classify", protocol.encode_classify_request(queries))
+    return protocol.encode_classify_request(queries)
 
 
 class TestTenantRoutes:
@@ -96,25 +95,24 @@ class TestTenantRoutes:
         finally:
             app.close()
 
-    def post(self, app, envelope, tenant=None):
-        headers = {"Content-Type": JSON}
+    def post(self, app, frame, tenant=None):
+        headers = {"Content-Type": protocol.CONTENT_TYPE_FRAME}
         if tenant is not None:
             headers[protocol.TENANT_HEADER] = tenant
-        return app.handle("POST", "/v1/classify", headers,
-                          protocol.dumps(envelope))
+        return app.handle("POST", "/v1/classify", headers, frame)
 
     def test_tenant_header_attributes_the_request(self, app):
-        envelope = classify_envelope(app.server.engine)
-        status, _, _ = self.post(app, envelope, tenant="acme")
+        frame = classify_frame(app.server.engine)
+        status, _, _ = self.post(app, frame, tenant="acme")
         assert status == 200
         tenants = app.server.stats()["tenants"]
         assert tenants["acme"]["admitted"] == 1
         assert tenants["acme"]["completed"] == 1
 
     def test_over_rate_maps_to_429_with_a_retry_hint(self, app):
-        envelope = classify_envelope(app.server.engine)
-        assert self.post(app, envelope, tenant="flood")[0] == 200
-        status, content_type, body = self.post(app, envelope, tenant="flood")
+        frame = classify_frame(app.server.engine)
+        assert self.post(app, frame, tenant="flood")[0] == 200
+        status, content_type, body = self.post(app, frame, tenant="flood")
         assert status == 429 and content_type == JSON
         with pytest.raises(protocol.WireError) as excinfo:
             protocol.parse_response(protocol.loads(body))
@@ -122,21 +120,19 @@ class TestTenantRoutes:
         assert excinfo.value.retry_after_s == pytest.approx(0.2)
         # The hint is honest: advancing the bucket clock readmits.
         app.clock.advance(0.2)
-        assert self.post(app, envelope, tenant="flood")[0] == 200
+        assert self.post(app, frame, tenant="flood")[0] == 200
 
     def test_missing_header_books_under_the_default_tenant(self, app):
-        envelope = classify_envelope(app.server.engine)
-        assert self.post(app, envelope)[0] == 200
+        frame = classify_frame(app.server.engine)
+        assert self.post(app, frame)[0] == 200
         assert app.server.stats()["tenants"]["default"]["admitted"] == 1
 
     def test_tenanted_answers_stay_bit_identical(self, app):
         queries = demo_queries(app.server.engine, 4, seed=3)
-        envelope = protocol.request_envelope(
-            "classify", protocol.encode_classify_request(queries))
-        status, _, body = self.post(app, envelope, tenant="acme")
+        frame = protocol.encode_classify_request(queries)
+        status, _, body = self.post(app, frame, tenant="acme")
         assert status == 200
-        remote = protocol.decode_classify_response(
-            protocol.parse_response(protocol.loads(body)))
+        remote = protocol.decode_classify_response(body)
         reference_engine = build_demo_engine(**GEOMETRY)
         expected = reference_engine.execute(reference_engine.prepare(queries))
         assert np.array_equal(remote, expected)

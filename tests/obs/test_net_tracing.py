@@ -28,15 +28,14 @@ GEOMETRY = dict(classes=16, input_dim=32, hash_length=128)
 JSON = protocol.CONTENT_TYPE_JSON
 
 
-def classify_envelope(rng, n=2):
+def classify_frame(rng, n=2):
     queries = rng.standard_normal((n, GEOMETRY["input_dim"]))
-    return protocol.request_envelope(
-        "classify", protocol.encode_classify_request(queries))
+    return protocol.encode_classify_request(queries)
 
 
-def post(app, path, envelope, headers=None):
-    merged = {"Content-Type": JSON, **(headers or {})}
-    status, _, _ = app.handle("POST", path, merged, protocol.dumps(envelope))
+def post(app, path, frame, headers=None):
+    merged = {"Content-Type": protocol.CONTENT_TYPE_FRAME, **(headers or {})}
+    status, _, _ = app.handle("POST", path, merged, frame)
     assert status == 200
     return status
 
@@ -62,7 +61,7 @@ class TestHeaderPropagation:
 
     def test_rpc_span_parents_under_the_wire_context(self, rng, app_and_sink):
         app, tracer, sink = app_and_sink
-        post(app, "/v1/classify", classify_envelope(rng),
+        post(app, "/v1/classify", classify_frame(rng),
              headers={TRACE_HEADER.lower(): self.CONTEXT})
         assert tracer.flush()
         (rpc,) = self.by_name(sink)["rpc.classify"]
@@ -75,10 +74,10 @@ class TestHeaderPropagation:
 
     def test_topk_rpc_span_joins_too(self, rng, app_and_sink):
         app, tracer, sink = app_and_sink
-        envelope = protocol.request_envelope(
-            "topk", protocol.encode_topk_request(
-                rng.standard_normal((2, GEOMETRY["input_dim"])), 3))
-        post(app, "/v1/topk", envelope,
+        frame = protocol.encode(
+            "topk.request",
+            samples=rng.standard_normal((2, GEOMETRY["input_dim"])), k=3)
+        post(app, "/v1/topk", frame,
              headers={TRACE_HEADER.lower(): self.CONTEXT})
         assert tracer.flush()
         (rpc,) = self.by_name(sink)["rpc.topk"]
@@ -86,7 +85,7 @@ class TestHeaderPropagation:
 
     def test_malformed_header_starts_a_fresh_trace(self, rng, app_and_sink):
         app, tracer, sink = app_and_sink
-        post(app, "/v1/classify", classify_envelope(rng),
+        post(app, "/v1/classify", classify_frame(rng),
              headers={TRACE_HEADER.lower(): "not-a-trace-context"})
         assert tracer.flush()
         spans = self.by_name(sink)
@@ -104,15 +103,15 @@ class TestHeaderPropagation:
         try:
             bits = rng.integers(0, 2, size=(8, 128)).astype(np.uint8)
             post(app, "/v1/shard/write",
-                 protocol.request_envelope(
-                     "shard_write", protocol.encode_shard_write_request(
-                         bits, 0, np.arange(8, dtype=np.int64), 8)),
+                 protocol.encode("shard_write.request", bits=bits,
+                                 start_row=0,
+                                 global_ids=np.arange(8, dtype=np.int64),
+                                 id_bound=8),
                  headers={TRACE_HEADER.lower(): self.CONTEXT})
             queries = rng.integers(0, 2, size=(3, 128)).astype(np.uint8)
             post(app, "/v1/shard/search",
-                 protocol.request_envelope(
-                     "shard_search", protocol.encode_shard_search_request(
-                         pack_bits(queries))),
+                 protocol.encode("shard_search.request",
+                                 packed=pack_bits(queries)),
                  headers={TRACE_HEADER.lower(): self.CONTEXT})
         finally:
             app.close()
@@ -126,7 +125,7 @@ class TestHeaderPropagation:
 class TestObservabilitySurfaces:
     def test_metrics_default_is_prometheus_text(self, rng, app_and_sink):
         app, _, _ = app_and_sink
-        post(app, "/v1/classify", classify_envelope(rng))
+        post(app, "/v1/classify", classify_frame(rng))
         status, content_type, body = app.handle("GET", "/v1/metrics", {}, b"")
         assert status == 200
         assert content_type == CONTENT_TYPE_PROMETHEUS
@@ -149,7 +148,7 @@ class TestObservabilitySurfaces:
 
     def test_trace_endpoint_returns_recent_spans(self, rng, app_and_sink):
         app, tracer, _ = app_and_sink
-        post(app, "/v1/classify", classify_envelope(rng))
+        post(app, "/v1/classify", classify_frame(rng))
         assert tracer.flush()
         status, content_type, body = app.handle("GET", "/v1/trace", {}, b"")
         assert status == 200

@@ -196,6 +196,25 @@ class TestProcessExecutorPropagation:
         assert all(fanout["trace_id"] in batch_traces for fanout in fanouts)
 
 
+    def test_fanout_span_names_the_default_kernel_without_an_engine(
+            self, rng, monkeypatch, make_tracer):
+        # No engine configured: the fused kernel runs with its default
+        # CPU split, which is not the inline engine.
+        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
+        tracer, sink = make_tracer()
+        engine = build_demo_sharded_engine(seed=0, num_shards=2, **GEOMETRY)
+        try:
+            serve(engine, rng.standard_normal((8, GEOMETRY["input_dim"])),
+                  tracer)
+        finally:
+            engine.close()
+        fanouts = [span for span in sink.spans() if span["name"] == "fanout"]
+        assert fanouts
+        for fanout in fanouts:
+            assert fanout["attributes"]["mode"] == "fused"
+            assert fanout["attributes"]["executor"] == "default"
+
+
 class _GateEngine:
     """Wraps an engine so execute() blocks until released (abort tests)."""
 

@@ -1,141 +1,67 @@
 """Property-based tests for the wire protocol: encode -> decode identity.
 
-Every payload kind the cluster moves -- classify and top-k requests and
-responses -- must survive the round trip bit-for-bit through both
-framings: JSON envelopes (base64 array bodies) and the length-prefixed
-binary frames.
+Every frame kind in :data:`repro.net.protocol.FRAME_KINDS` must survive
+the round trip bit-for-bit, zero-row batches and ``k = 0`` included.  The
+fields are drawn from the kind table itself, so a new kind is covered
+without a new test.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.net import protocol
 
-finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+def frame_fields(spec):
+    """Fields of one frame kind, drawn from its table entry.
+
+    Every array shares one row count and every 2-D array one column
+    count, so the cross-field checks (ids per row, aligned candidate
+    shapes) hold by construction.
+    """
+    def arrays(rows, cols):
+        return st.fixed_dictionaries({
+            name: hnp.arrays(dtype=np.dtype(dtype),
+                             shape=(rows, cols)[:ndim],
+                             elements=hnp.from_dtype(np.dtype(dtype)))
+            for name, (dtype, ndim) in spec.arrays.items()})
+
+    scalars = st.fixed_dictionaries({
+        name: (st.integers(minimum or 0, 2**63) if scalar_type is int
+               else st.floats(allow_nan=False, allow_infinity=False))
+        for name, (scalar_type, minimum) in spec.scalars.items()})
+    return st.tuples(st.integers(0, 6).flatmap(
+        lambda rows: st.integers(0, 12).flatmap(
+            lambda cols: arrays(rows, cols))), scalars)
 
 
-def float_matrix(max_rows=8, max_cols=16):
-    return st.integers(0, max_rows).flatmap(
-        lambda rows: st.integers(1, max_cols).flatmap(
-            lambda cols: hnp.arrays(dtype=np.float64, shape=(rows, cols),
-                                    elements=finite)))
+@pytest.mark.parametrize("kind", sorted(protocol.FRAME_KINDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_frame_kind_round_trips_bit_exactly(kind, data):
+    spec = protocol.FRAME_KINDS[kind]
+    arrays, scalars = data.draw(frame_fields(spec))
+    decoded = protocol.decode(kind, protocol.encode(kind, **arrays, **scalars))
+    assert set(decoded) == set(arrays) | set(scalars)
+    for name, array in arrays.items():
+        assert decoded[name].dtype == array.dtype
+        assert decoded[name].shape == array.shape
+        assert decoded[name].tobytes() == array.tobytes()  # exact bits
+    for name, value in scalars.items():
+        assert type(decoded[name]) is spec.scalars[name][0]
+        assert decoded[name] == value
 
 
-def int_matrix(dtype, max_rows=8, max_cols=16, low=0, high=2**31):
-    return st.integers(0, max_rows).flatmap(
-        lambda rows: st.integers(1, max_cols).flatmap(
-            lambda cols: hnp.arrays(dtype=dtype, shape=(rows, cols),
-                                    elements=st.integers(low, high))))
-
-
-def wire_cycle(envelope):
-    """Serialise + parse: what actually crosses the socket."""
-    return protocol.loads(protocol.dumps(envelope))
-
-
-class TestJsonRoundTrips:
-    @given(samples=float_matrix(), encoding=st.sampled_from(["b64", "hex"]))
-    @settings(max_examples=40, deadline=None)
-    def test_classify_request_identity(self, samples, encoding):
-        envelope = protocol.request_envelope(
-            "classify", protocol.encode_classify_request(samples, encoding))
-        decoded = protocol.decode_classify_request(
-            protocol.parse_request(wire_cycle(envelope), "classify"))
-        assert decoded.dtype == np.float64
-        assert decoded.shape == samples.shape
-        assert samples.tobytes() == decoded.tobytes()  # exact bits
-
-    @given(logits=float_matrix())
-    @settings(max_examples=40, deadline=None)
-    def test_classify_response_identity(self, logits):
-        envelope = protocol.ok_envelope(
-            protocol.encode_classify_response(logits))
-        decoded = protocol.decode_classify_response(
-            protocol.parse_response(wire_cycle(envelope)))
-        assert logits.tobytes() == decoded.tobytes()
-
-    @given(samples=float_matrix(), k=st.integers(0, 64))
-    @settings(max_examples=40, deadline=None)
-    def test_topk_request_identity(self, samples, k):
-        envelope = protocol.request_envelope(
-            "topk", protocol.encode_topk_request(samples, k))
-        decoded, decoded_k = protocol.decode_topk_request(
-            protocol.parse_request(wire_cycle(envelope), "topk"))
-        assert decoded_k == k
-        assert samples.tobytes() == decoded.tobytes()
-
-    @given(rows=float_matrix())
-    @settings(max_examples=40, deadline=None)
-    def test_topk_response_identity(self, rows):
-        envelope = protocol.ok_envelope(protocol.encode_topk_response(rows))
-        decoded = protocol.decode_topk_response(
-            protocol.parse_response(wire_cycle(envelope)))
-        assert rows.tobytes() == decoded.tobytes()
-
-    @given(packed=int_matrix(np.uint64, high=2**63))
-    @settings(max_examples=40, deadline=None)
-    def test_shard_search_request_identity(self, packed):
-        envelope = protocol.request_envelope(
-            "shard_search", protocol.encode_shard_search_request(packed))
-        decoded = protocol.decode_shard_search_request(
-            protocol.parse_request(wire_cycle(envelope), "shard_search"))
-        assert decoded.dtype == np.uint64
-        assert packed.tobytes() == decoded.tobytes()
-
-    @given(counts=int_matrix(np.int64),
-           energy=st.floats(0, 1e9, allow_nan=False),
-           latency=st.integers(0, 2**31))
-    @settings(max_examples=40, deadline=None)
-    def test_shard_search_response_identity(self, counts, energy, latency):
-        envelope = protocol.ok_envelope(
-            protocol.encode_shard_search_response(counts, energy, latency))
-        decoded, decoded_energy, decoded_latency = (
-            protocol.decode_shard_search_response(
-                protocol.parse_response(wire_cycle(envelope))))
-        assert counts.tobytes() == decoded.tobytes()
-        assert decoded_energy == energy and decoded_latency == latency
-
-
-class TestBinaryFrameRoundTrips:
-    @given(packed=int_matrix(np.uint64, high=2**63), k=st.integers(0, 64))
-    @settings(max_examples=40, deadline=None)
-    def test_query_frame_identity(self, packed, k):
-        frame = protocol.encode_array_frame("shard_topk", packed,
-                                            extra={"k": k})
-        decoded, header = protocol.decode_array_frame(
-            frame, kind="shard_topk", dtype="uint64", ndim=2)
-        assert header["k"] == k
-        assert decoded.shape == packed.shape
-        assert packed.tobytes() == decoded.tobytes()
-
-    @given(logits=float_matrix())
-    @settings(max_examples=40, deadline=None)
-    def test_float_frame_identity(self, logits):
-        frame = protocol.encode_array_frame("logits", logits)
-        decoded, _ = protocol.decode_array_frame(frame, kind="logits",
-                                                 dtype="float64", ndim=2)
-        assert logits.tobytes() == decoded.tobytes()
-
-    @given(candidates=int_matrix(np.int64, max_rows=4, max_cols=6))
-    @settings(max_examples=40, deadline=None)
-    def test_stacked_candidate_frame_identity(self, candidates):
-        stacked = np.stack([candidates, candidates + 1])
-        frame = protocol.encode_array_frame("shard_candidates", stacked)
-        decoded, _ = protocol.decode_array_frame(
-            frame, kind="shard_candidates", dtype="int64", ndim=3)
-        assert stacked.tobytes() == decoded.tobytes()
-
-    @given(packed=int_matrix(np.uint64, high=2**63))
-    @settings(max_examples=40, deadline=None)
-    def test_frame_and_json_carry_identical_arrays(self, packed):
-        via_frame, _ = protocol.decode_array_frame(
-            protocol.encode_array_frame("shard_search", packed),
-            kind="shard_search", dtype="uint64", ndim=2)
-        via_json = protocol.decode_shard_search_request(
-            protocol.parse_request(
-                wire_cycle(protocol.request_envelope(
-                    "shard_search",
-                    protocol.encode_shard_search_request(packed))),
-                "shard_search"))
-        assert via_frame.tobytes() == via_json.tobytes()
+@pytest.mark.parametrize("kind", sorted(protocol.FRAME_KINDS))
+def test_zero_rows_and_zero_k_round_trip(kind):
+    spec = protocol.FRAME_KINDS[kind]
+    arrays = {name: np.zeros((0, 3)[:ndim], dtype=dtype)
+              for name, (dtype, ndim) in spec.arrays.items()}
+    scalars = {name: scalar_type(minimum or 0)
+               for name, (scalar_type, minimum) in spec.scalars.items()}
+    decoded = protocol.decode(kind, protocol.encode(kind, **arrays, **scalars))
+    for name, array in arrays.items():
+        assert decoded[name].shape == array.shape
+    assert decoded.get("k", 0) == 0
